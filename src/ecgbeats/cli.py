@@ -92,9 +92,13 @@ def _parse_targets(spec: str, label_set: LabelSet) -> dict:
     targets = {}
     for item in spec.split(","):
         name, _, count = item.partition("=")
-        if not count:
-            raise ValidationError(f"bad target {item!r}; expected SYMBOL=COUNT")
-        targets[label_set.id_of(name.strip())] = int(count)
+        try:
+            value = int(count)
+        except ValueError:
+            raise ValidationError(f"bad target {item!r}; expected SYMBOL=COUNT") from None
+        if value <= 0:
+            raise ValidationError(f"bad target {item!r}; the count must be positive")
+        targets[label_set.id_of(name.strip())] = value
     return targets
 
 
@@ -247,8 +251,6 @@ def cmd_balance(args) -> int:
                 f"--k-neighbors must be >= 1, got {args.k_neighbors}")])
     label_set = _label_set(args)
     targets = _parse_targets(args.targets, label_set)
-    _validate([(count > 0, f"target for class {cls} must be positive")
-               for cls, count in targets.items()])
     _require_inputs(args.features)
     rows, labels = record_io.load_feature_matrix(args.features)
     plan = balance_mod.BalancePlan(targets=targets, k_neighbors=args.k_neighbors,
@@ -287,8 +289,7 @@ def _gbdt_params(args) -> GbdtParams:
     return GbdtParams(learning_rate=args.learning_rate, max_depth=args.max_depth,
                       n_estimators=args.n_estimators,
                       min_data_in_leaf=args.min_data_in_leaf,
-                      l1_alpha=args.l1_alpha, l2_lambda=args.l2_lambda,
-                      seed=args.seed)
+                      l1_alpha=args.l1_alpha, l2_lambda=args.l2_lambda)
 
 
 def _rf_params(args) -> RfParams:
@@ -351,6 +352,11 @@ def cmd_gridsearch(args) -> int:
         (args.folds >= 2, f"--folds must be >= 2, got {args.folds}"),
         (args.k_neighbors >= 1, f"--k-neighbors must be >= 1, got {args.k_neighbors}"),
     ])
+    plan = None
+    if args.targets:
+        label_set = _label_set(args)
+        plan = balance_mod.BalancePlan(targets=_parse_targets(args.targets, label_set),
+                                       k_neighbors=args.k_neighbors, seed=args.seed)
     _require_inputs(args.features, args.grid)
     rows, labels = record_io.load_feature_matrix(args.features)
     with open(args.grid) as fh:
@@ -358,16 +364,12 @@ def cmd_gridsearch(args) -> int:
     if not isinstance(raw_grid, list) or not raw_grid:
         raise ValidationError(f"{args.grid}: expected a non-empty JSON list of parameter objects")
     param_cls = GbdtParams if args.model == "gbdt" else RfParams
+    seed = {"seed": args.seed} if args.model == "rf" else {}
     try:
-        candidates = [param_cls(**{**combo, "seed": args.seed}) for combo in raw_grid]
+        candidates = [param_cls(**{**combo, **seed}) for combo in raw_grid]
     except TypeError as exc:
         raise ValidationError(f"{args.grid}: {exc}") from None
 
-    plan = None
-    if args.targets:
-        label_set = _label_set(args)
-        plan = balance_mod.BalancePlan(targets=_parse_targets(args.targets, label_set),
-                                       k_neighbors=args.k_neighbors, seed=args.seed)
     best, results = grid_search(rows, labels, candidates, folds=args.folds,
                                 seed=args.seed, balance_plan=plan)
     out = Path(args.out_dir)

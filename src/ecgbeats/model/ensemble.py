@@ -46,6 +46,23 @@ class EnsembleModel:
                 )
 
 
+def check_training_data(rows, labels, n_classes: int | None):
+    """(features, labels, class count) of a training set, or ValidationError."""
+    x = np.asarray(rows, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValidationError("rows must be 2-D with one label per row")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("feature matrix contains non-finite values")
+    present = np.unique(y)
+    if present.shape[0] < 2:
+        raise ValidationError("training data contains a single class")
+    k = int(n_classes) if n_classes is not None else int(present.max()) + 1
+    if present.min() < 0 or present.max() >= k:
+        raise ValidationError(f"labels outside 0..{k - 1}")
+    return x, y, k
+
+
 def _check_rows(model: EnsembleModel, rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != model.n_features:

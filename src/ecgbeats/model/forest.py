@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from .ensemble import EnsembleModel
+from .ensemble import EnsembleModel, check_training_data
 from .tree import Tree, TreeBuilder
 
 
@@ -99,19 +99,7 @@ def _build_tree(x, y, sample_idx, n_classes, params: RfParams, rng) -> Tree:
 
 def fit_random_forest(rows, labels, params: RfParams = RfParams(),
                       n_classes: int | None = None) -> EnsembleModel:
-    x = np.asarray(rows, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValidationError("rows must be 2-D with one label per row")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("feature matrix contains non-finite values")
-    present = np.unique(y)
-    if present.shape[0] < 2:
-        raise ValidationError("training data contains a single class")
-    k = int(n_classes) if n_classes is not None else int(present.max()) + 1
-    if present.min() < 0 or present.max() >= k:
-        raise ValidationError(f"labels outside 0..{k - 1}")
-
+    x, y, k = check_training_data(rows, labels, n_classes)
     rng = np.random.default_rng(params.seed)
     n = x.shape[0]
     trees = []

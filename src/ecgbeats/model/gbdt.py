@@ -3,14 +3,23 @@
 Per boosting round, one regression tree per class is fit to the first- and
 second-order derivatives of the logloss taken at the scores from the start
 of the round: g_ik = p_ik - y_ik, h_ik = p_ik * (1 - p_ik). Split search is
-exact greedy (sorted scan over midpoints of distinct values) maximizing the
+exact greedy (a sorted scan over midpoints of distinct values) maximizing the
 usual second-order gain
 
     G_L^2 / (H_L + lambda) + G_R^2 / (H_R + lambda) - G^2 / (H + lambda)
 
 and leaf values are L1-soft-thresholded Newton steps scaled by the learning
 rate. Trees grow depth-wise; no histogram binning, no feature subsampling.
-Deterministic given the input order, so models are byte-reproducible.
+
+The scan is presorted, as in the exact greedy algorithm of XGBoost (Chen &
+Guestrin, KDD 2016): a fit runs one stable argsort of every feature column,
+and every node carries, per feature, its rows in ascending value order (ties
+to the lower row id). A split filters that order through its row mask into
+the two children's orders, so no node sorts again. Prefix sums and gains are
+evaluated only at the positions that leave min_data_in_leaf rows on each
+side. Node totals are summed over the node's rows in ascending row order, so
+the trees equal those of a per-node stable sort bit for bit, and fits are
+deterministic given the input order, so models are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
-from .ensemble import EnsembleModel, softmax
+from .ensemble import EnsembleModel, check_training_data, softmax
 from .tree import Tree, TreeBuilder
 
 
@@ -34,7 +43,6 @@ class GbdtParams:
     min_data_in_leaf: int = 10
     l1_alpha: float = 0.5
     l2_lambda: float = 0.7327
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -51,41 +59,43 @@ class GbdtParams:
 
 def _gain_term(g_sum: np.ndarray, den: np.ndarray) -> np.ndarray:
     """G^2 / den with 0 where den <= 0 (only reachable when lambda == 0)."""
-    return np.where(den > 0, g_sum * g_sum / np.where(den > 0, den, 1.0), 0.0)
+    # an unmasked divide then a fix-up: a where= mask makes the divide ~5x slower
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = g_sum * g_sum / den
+    term[~(den > 0)] = 0.0
+    return term
 
 
-def _best_split(x_node, g_node, h_node, lam, min_leaf):
-    """Best (gain, feature, threshold) for one node, or None.
+def _best_split(order, xs, g, h, g_total, h_total, lam, min_leaf):
+    """Best (feature, threshold) for one node, or None.
 
-    Candidates are midpoints of consecutive distinct sorted values. Ties
-    resolve to the lowest feature index, then the lowest threshold: argmax
-    returns the first maximum, columns are scanned in feature order and rows
-    in ascending threshold order.
+    order (F, n) holds the node's row ids sorted by each feature and xs (F, n)
+    the matching values. Candidates are midpoints of consecutive distinct
+    sorted values with at least min_leaf rows on either side. Ties resolve to
+    the lowest feature index, then the lowest threshold: argmax returns the
+    first maximum, features are scanned in index order and rows in ascending
+    threshold order.
     """
-    n = x_node.shape[0]
+    n = order.shape[1]
     if n < 2 * min_leaf:
         return None
-    g_total, h_total = g_node.sum(), h_node.sum()
-    parent = float(_gain_term(np.asarray(g_total), np.asarray(h_total + lam)))
+    den = h_total + lam
+    parent = g_total * g_total / den if den > 0 else 0.0
 
-    order = np.argsort(x_node, axis=0, kind="stable")
-    xs = np.take_along_axis(x_node, order, axis=0)
-    gl = np.cumsum(g_node[order], axis=0)[:-1]
-    hl = np.cumsum(h_node[order], axis=0)[:-1]
+    # position p splits off the first p + 1 sorted rows; legal p: lo <= p < hi
+    lo, hi = min_leaf - 1, n - min_leaf
+    gl = np.cumsum(g[order[:, :hi]], axis=1)[:, lo:]
+    hl = np.cumsum(h[order[:, :hi]], axis=1)[:, lo:]
     gains = _gain_term(gl, hl + lam) + _gain_term(g_total - gl, h_total - hl + lam) - parent
+    gains[xs[:, lo + 1:hi + 1] <= xs[:, lo:hi]] = -np.inf
 
-    n_left = np.arange(1, n)[:, None]
-    valid = (xs[1:] > xs[:-1]) & (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    gains = np.where(valid, gains, -np.inf)
-
-    per_feature = gains.max(axis=0)
+    per_feature = gains.max(axis=1)
     feature = int(np.argmax(per_feature))
     gain = per_feature[feature]
     if not np.isfinite(gain) or gain <= 0.0:
         return None
-    row = int(np.argmax(gains[:, feature]))
-    threshold = 0.5 * (xs[row, feature] + xs[row + 1, feature])
-    return float(gain), feature, float(threshold)
+    pos = lo + int(np.argmax(gains[feature]))
+    return feature, float(0.5 * (xs[feature, pos] + xs[feature, pos + 1]))
 
 
 def _leaf_value(g_sum, h_sum, params: GbdtParams) -> float:
@@ -96,43 +106,57 @@ def _leaf_value(g_sum, h_sum, params: GbdtParams) -> float:
     return float(-np.sign(g_sum) * mag / den * params.learning_rate)
 
 
-def _build_tree(x, g, h, params: GbdtParams) -> Tree:
+def _keep(order, xs, mask):
+    """(order, xs) restricted to the entries where mask holds, per feature."""
+    # flatnonzero + take is ~4x faster than boolean indexing on a random mask
+    keep = np.flatnonzero(mask)
+    shape = (order.shape[0], -1)
+    return order.take(keep).reshape(shape), xs.take(keep).reshape(shape)
+
+
+def _build_tree(x, order, xs, g, h, params: GbdtParams, score) -> Tree:
+    """Grow one tree and add each leaf's value to ``score`` at its rows.
+
+    order (F, n) is the fit's stable argsort of every feature and xs the sorted
+    values; feature-major, so each feature's entries stay contiguous when a
+    split filters them. A node is (id, ascending row ids, order, xs, depth); a
+    split hands each child the entries of its parent's order and xs whose rows
+    it gets.
+    """
     builder = TreeBuilder()
-    stack = [(builder.add_node(), np.arange(x.shape[0]), 0)]
+    goes_left = np.zeros(x.shape[0], dtype=bool)
+    stack = [(builder.add_node(), np.arange(x.shape[0]), order, xs, 0)]
     while stack:
-        node, idx, depth = stack.pop()
+        node, idx, order, xs, depth = stack.pop()
+        # summed in ascending row order: a sorted-order sum moves the last bits
+        g_total, h_total = g[idx].sum(), h[idx].sum()
         split = None
         if depth < params.max_depth:
-            split = _best_split(x[idx], g[idx], h[idx],
+            split = _best_split(order, xs, g, h, g_total, h_total,
                                 params.l2_lambda, params.min_data_in_leaf)
         if split is None:
-            builder.set_leaf_value(node, _leaf_value(g[idx].sum(), h[idx].sum(), params))
+            value = _leaf_value(g_total, h_total, params)
+            builder.set_leaf_value(node, value)
+            score[idx] += value
             continue
-        _, feature, threshold = split
+        feature, threshold = split
         go_left = x[idx, feature] <= threshold
+        goes_left[idx] = go_left
+        in_left = goes_left[order]
         left, right = builder.add_node(), builder.add_node()
         builder.set_split(node, feature, threshold, left, right)
-        stack.append((right, idx[~go_left], depth + 1))
-        stack.append((left, idx[go_left], depth + 1))
+        stack.append((right, idx[~go_left], *_keep(order, xs, ~in_left), depth + 1))
+        stack.append((left, idx[go_left], *_keep(order, xs, in_left), depth + 1))
     return builder.build()
 
 
 def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
              n_classes: int | None = None) -> EnsembleModel:
     """Fit the boosted ensemble; scores start at 0 for every class."""
-    x = np.asarray(rows, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValidationError("rows must be 2-D with one label per row")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("feature matrix contains non-finite values")
-    present = np.unique(y)
-    if present.shape[0] < 2:
-        raise ValidationError("training data contains a single class")
-    k = int(n_classes) if n_classes is not None else int(present.max()) + 1
-    if present.min() < 0 or present.max() >= k:
-        raise ValidationError(f"labels outside 0..{k - 1}")
-
+    x, y, k = check_training_data(rows, labels, n_classes)
+    # the one sort of the fit; ties keep the lower row id first
+    order = np.argsort(x.T, axis=1, kind="stable")
+    xs = np.take_along_axis(x.T, order, axis=1)
     onehot = np.zeros((x.shape[0], k))
     onehot[np.arange(x.shape[0]), y] = 1.0
     scores = np.zeros((x.shape[0], k))
@@ -143,9 +167,7 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
         for cls in range(k):
             g = probs[:, cls] - onehot[:, cls]
             h = probs[:, cls] * (1.0 - probs[:, cls])
-            tree = _build_tree(x, g, h, params)
-            scores[:, cls] += tree.predict_value(x)
-            trees.append(tree)
+            trees.append(_build_tree(x, order, xs, g, h, params, scores[:, cls]))
         probs = softmax(scores)
         logloss.append(float(-np.mean(np.log(probs[np.arange(x.shape[0]), y]))))
 

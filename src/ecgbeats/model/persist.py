@@ -17,13 +17,20 @@ Grammar (one record per line, whitespace separated):
 Thresholds and leaf values are written with repr(), which round-trips
 float64 exactly, so a loaded model predicts bit-identically. GBDT trees are
 stored in their round-major, class-minor training order.
+
+Loading checks every record: each split node i needs i < left, right < M and
+0 <= feature < F (so routing always ends at a leaf), and numbers must parse,
+thresholds and leaf values as finite floats. A malformed file raises
+ParseError, a DataError naming the file and line.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, ParseError
 from .ensemble import EnsembleModel
 from .tree import LEAF, Tree
 
@@ -58,11 +65,20 @@ def save_model(model: EnsembleModel, path) -> None:
 
 
 class _LineReader:
+    """Whitespace-split records of a model file. Every malformed record ends
+    in a ParseError (a DataError) naming the file and line."""
+
     def __init__(self, path):
-        with open(path) as fh:
-            self.lines = [ln.rstrip("\n") for ln in fh]
+        try:
+            with open(path) as fh:
+                self.lines = [ln.rstrip("\n") for ln in fh]
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: not a text file") from None
         self.path = path
         self.pos = 0
+
+    def fail(self, message: str):
+        raise ParseError(self.path, self.pos, message)
 
     def next(self) -> list:
         while self.pos < len(self.lines):
@@ -72,11 +88,80 @@ class _LineReader:
                 return line.split()
         raise DataError(f"{self.path}: truncated model file")
 
-    def expect(self, key: str) -> list:
+    def expect(self, key: str, n_fields: int | None = 1) -> list:
+        """The fields after ``key``; n_fields None allows any number."""
         parts = self.next()
         if parts[0] != key:
-            raise DataError(f"{self.path}: expected '{key}', found '{parts[0]}'")
+            self.fail(f"expected '{key}', found '{parts[0]}'")
+        if n_fields is not None and len(parts) != 1 + n_fields:
+            self.fail(f"'{key}' needs {n_fields} field(s), found {len(parts) - 1}")
         return parts[1:]
+
+    def integer(self, token: str, low: int = 0, high: int | None = None) -> int:
+        """An integer in [low, high)."""
+        try:
+            value = int(token)
+        except ValueError:
+            self.fail(f"expected an integer, found {token!r}")
+        if value < low or (high is not None and value >= high):
+            self.fail(f"{value} outside [{low}, {'inf' if high is None else high})")
+        return value
+
+    def number(self, token: str) -> float:
+        """A finite float."""
+        try:
+            value = float(token)
+        except ValueError:
+            self.fail(f"expected a number, found {token!r}")
+        if not math.isfinite(value):
+            self.fail(f"{token} is not a finite number")
+        return value
+
+
+def _read_tree(reader: _LineReader, t: int, kind: str, n_classes: int,
+               n_features: int) -> Tree:
+    """Tree block ``t``. Children must come after their parent (the builders
+    always append them), which also rules out cycles, so routing ends."""
+    t_id, nodes, n_nodes = reader.expect("tree", 3)
+    if t_id != str(t) or nodes != "nodes":
+        reader.fail(f"expected 'tree {t} nodes <M>'")
+    # at most one node per remaining line, so a corrupt count cannot allocate much
+    n_nodes = reader.integer(n_nodes, low=1, high=len(reader.lines) - reader.pos + 1)
+    feature = np.full(n_nodes, LEAF, dtype=np.int32)
+    threshold = np.zeros(n_nodes)
+    left = np.full(n_nodes, LEAF, dtype=np.int32)
+    right = np.full(n_nodes, LEAF, dtype=np.int32)
+    value = np.zeros(n_nodes) if kind == "gbdt" else None
+    counts = np.zeros((n_nodes, n_classes), dtype=np.int64) if kind == "rf" else None
+    leaf_fields = 1 if kind == "gbdt" else n_classes
+    seen = np.zeros(n_nodes, dtype=bool)
+    for _ in range(n_nodes):
+        parts = reader.expect("n", None)
+        if len(parts) < 2:
+            reader.fail("node record needs an id and a kind")
+        i = reader.integer(parts[0], high=n_nodes)
+        if seen[i]:
+            reader.fail(f"node {i} defined twice")
+        seen[i] = True
+        node_kind, fields = parts[1], parts[2:]
+        if node_kind == "split":
+            if len(fields) != 4:
+                reader.fail(f"split needs 4 fields, found {len(fields)}")
+            feature[i] = reader.integer(fields[0], high=n_features)
+            threshold[i] = reader.number(fields[1])
+            left[i] = reader.integer(fields[2], low=i + 1, high=n_nodes)
+            right[i] = reader.integer(fields[3], low=i + 1, high=n_nodes)
+        elif node_kind == "leaf":
+            if len(fields) != leaf_fields:
+                reader.fail(f"leaf needs {leaf_fields} field(s), found {len(fields)}")
+            if kind == "gbdt":
+                value[i] = reader.number(fields[0])
+            else:
+                counts[i] = [reader.integer(c) for c in fields]
+        else:
+            reader.fail(f"unknown node kind {node_kind!r}")
+    return Tree(feature=feature, threshold=threshold, left=left, right=right,
+                value=value, counts=counts)
 
 
 def load_model(path) -> EnsembleModel:
@@ -84,52 +169,21 @@ def load_model(path) -> EnsembleModel:
     header = reader.next()
     if header[0] != FORMAT_NAME:
         raise DataError(f"{path}: not an {FORMAT_NAME} file")
-    if int(header[1]) != FORMAT_VERSION:
-        raise DataError(
-            f"{path}: format version {header[1]} unsupported (expected {FORMAT_VERSION})"
-        )
+    if len(header) != 2 or reader.integer(header[1]) != FORMAT_VERSION:
+        reader.fail(f"format version {' '.join(header[1:])!r} unsupported "
+                    f"(expected {FORMAT_VERSION})")
     kind = reader.expect("kind")[0]
     if kind not in ("gbdt", "rf"):
-        raise DataError(f"{path}: unknown model kind {kind!r}")
-    n_classes = int(reader.expect("n_classes")[0])
-    n_features = int(reader.expect("n_features")[0])
-    n_rounds = int(reader.expect("n_rounds")[0]) if kind == "gbdt" else 0
-    n_trees = int(reader.expect("n_trees")[0])
+        reader.fail(f"unknown model kind {kind!r}")
+    n_classes = reader.integer(reader.expect("n_classes")[0], low=1)
+    n_features = reader.integer(reader.expect("n_features")[0], low=1)
+    n_rounds = reader.integer(reader.expect("n_rounds")[0]) if kind == "gbdt" else 0
+    n_trees = reader.integer(reader.expect("n_trees")[0])
+    if kind == "gbdt" and n_trees != n_rounds * n_classes:
+        reader.fail(f"gbdt needs n_rounds * n_classes = {n_rounds * n_classes} trees")
 
-    trees = []
-    for t in range(n_trees):
-        t_id, _, n_nodes = reader.expect("tree")
-        if int(t_id) != t:
-            raise DataError(f"{path}: tree records out of order")
-        n_nodes = int(n_nodes)
-        feature = np.full(n_nodes, LEAF, dtype=np.int32)
-        threshold = np.zeros(n_nodes)
-        left = np.full(n_nodes, LEAF, dtype=np.int32)
-        right = np.full(n_nodes, LEAF, dtype=np.int32)
-        value = np.zeros(n_nodes) if kind == "gbdt" else None
-        counts = np.zeros((n_nodes, n_classes), dtype=np.int64) if kind == "rf" else None
-        for _ in range(n_nodes):
-            parts = reader.expect("n")
-            i, node_kind = int(parts[0]), parts[1]
-            if not 0 <= i < n_nodes:
-                raise DataError(f"{path}: node id {i} out of range")
-            if node_kind == "split":
-                feature[i] = int(parts[2])
-                threshold[i] = float(parts[3])
-                left[i] = int(parts[4])
-                right[i] = int(parts[5])
-            elif node_kind == "leaf":
-                if kind == "gbdt":
-                    value[i] = float(parts[2])
-                else:
-                    if len(parts) != 2 + n_classes:
-                        raise DataError(f"{path}: leaf histogram should have {n_classes} counts")
-                    counts[i] = [int(c) for c in parts[2:]]
-            else:
-                raise DataError(f"{path}: unknown node kind {node_kind!r}")
-        trees.append(Tree(feature=feature, threshold=threshold, left=left,
-                          right=right, value=value, counts=counts))
+    trees = [_read_tree(reader, t, kind, n_classes, n_features) for t in range(n_trees)]
     if reader.next() != ["end"]:
-        raise DataError(f"{path}: missing end marker")
+        reader.fail("missing end marker")
     return EnsembleModel(kind=kind, n_classes=n_classes, n_features=n_features,
                          trees=trees, n_rounds=n_rounds)

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
 
 from .errors import ValidationError
 from .record_io import EcgRecord, LabelSet
@@ -69,6 +68,10 @@ def bandpass_filter(signal, fs: float, low: float = BAND_LOW_HZ,
         raise ValidationError(
             f"band ({low}, {high}) Hz must satisfy 0 < low < high < fs/2 = {fs / 2}"
         )
+    # imported here, not at module level: scipy.signal takes about a second
+    # to import, and only this stage needs it
+    from scipy.signal import butter, sosfiltfilt
+
     sos = butter(FILTER_ORDER, [low, high], btype="bandpass", fs=fs, output="sos")
     padlen = min(int(round(fs)), x.shape[0] - 1)
     return sosfiltfilt(sos, x, padtype="even", padlen=padlen)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +141,30 @@ class TestErrors:
         for flag in ("--learning-rate", "--max-depth", "--min-data-in-leaf"):
             assert flag in err
 
+    @pytest.mark.parametrize("targets", ["N=abc,S=5,V=5", "N=-5,S=5,V=5", "N=0,S=5,V=5"])
+    def test_bad_targets_are_validation_errors(self, tmp_path, capsys, targets):
+        for stage_args in (["balance", "--out", tmp_path / "b.csv"],
+                           ["gridsearch", "--grid", tmp_path / "g.json",
+                            "--out-dir", tmp_path / "gs"]):
+            code = run(*stage_args, "--features", tmp_path / "f.csv", "--targets", targets)
+            assert code == 1
+            assert "bad target 'N=" in capsys.readouterr().err
+
+    def test_evaluate_rejects_cyclic_model(self, tmp_path, capsys, pipeline_dir):
+        model = tmp_path / "m.txt"
+        assert run("train", "--features", pipeline_dir / "features_train.csv",
+                   "--out", model, "--n-estimators", 1, "--max-depth", 2,
+                   "--min-data-in-leaf", 2) == 0
+        lines = model.read_text().splitlines()
+        split = next(i for i, ln in enumerate(lines) if ln.startswith("n 0 split"))
+        lines[split] = " ".join(lines[split].split()[:5] + ["0", "0"])
+        model.write_text("\n".join(lines) + "\n")
+        code = run("evaluate", "--model-file", model,
+                   "--features", pipeline_dir / "features_test.csv",
+                   "--out-dir", tmp_path / "eval")
+        assert code == 2
+        assert "m.txt" in capsys.readouterr().err
+
     def test_band_validation(self, tmp_path):
         d = tmp_path / "raw"
         assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
@@ -182,3 +208,11 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"not_a_stage": {}}))
         assert run("--config", config, "synth", "--out-dir", tmp_path / "x") == 1
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # only the band-pass filter needs scipy.signal, which takes ~1 s to import
+    code = "import sys, ecgbeats.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

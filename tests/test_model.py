@@ -246,6 +246,97 @@ class TestPersistence:
             load_model(tmp_path / "trunc.txt")
 
 
+def _saved_gbdt_lines(tmp_path):
+    rows, labels = blobs(seed=4)
+    model = fit_gbdt(rows, labels, GbdtParams(n_estimators=1, max_depth=3,
+                                              min_data_in_leaf=2))
+    save_model(model, tmp_path / "m.txt")
+    return (tmp_path / "m.txt").read_text().splitlines()
+
+
+def _load_edited(tmp_path, lines):
+    (tmp_path / "edited.txt").write_text("\n".join(lines) + "\n")
+    return load_model(tmp_path / "edited.txt")
+
+
+class TestModelFileValidation:
+    """Hand-edited model files: every defect is a DataError, never a hang or a
+    ValueError / IndexError traceback."""
+
+    @pytest.mark.parametrize("field, token", [
+        (5, "0"),       # node 1's left child is the root: a cycle
+        (5, "1"),       # node 1 is its own child
+        (6, "5"),       # a child past the last node
+        (3, "2"),       # feature == n_features
+        (3, "-1"),
+        (4, "abc"),     # non-numeric threshold
+        (4, "nan"),
+        (1, "x"),       # non-numeric node id
+    ])
+    def test_bad_split_field(self, tmp_path, field, token):
+        lines = _saved_gbdt_lines(tmp_path)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("n 1 split"))
+        parts = lines[at].split()     # n <i> split <feature> <threshold> <left> <right>
+        parts[field] = token
+        lines[at] = " ".join(parts)
+        with pytest.raises(DataError):
+            _load_edited(tmp_path, lines)
+
+    @pytest.mark.parametrize("edit", [
+        lambda parts: parts[:-1],                   # too few tokens
+        lambda parts: parts + ["7"],                # too many
+        lambda parts: parts[:2] + ["twig"] + parts[3:],
+    ])
+    def test_bad_split_shape(self, tmp_path, edit):
+        lines = _saved_gbdt_lines(tmp_path)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("n 0 split"))
+        lines[at] = " ".join(edit(lines[at].split()))
+        with pytest.raises(DataError):
+            _load_edited(tmp_path, lines)
+
+    @pytest.mark.parametrize("line, text", [
+        (0, "ecgbeats-model"),          # header with one token
+        (0, "ecgbeats-model one"),
+        (2, "n_classes three"),
+        (3, "n_features"),
+        (4, "n_rounds 2"),              # tree count no longer n_rounds * K
+        (6, "tree 0 nodes 99999999999"),
+        (6, "tree 0 nodes"),
+        (7, "n 0 leaf inf"),
+        (7, "n 0"),
+    ])
+    def test_bad_header_or_record(self, tmp_path, line, text):
+        lines = _saved_gbdt_lines(tmp_path)
+        lines[line] = text
+        with pytest.raises(DataError):
+            _load_edited(tmp_path, lines)
+
+    def test_duplicate_node_id(self, tmp_path):
+        lines = _saved_gbdt_lines(tmp_path)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("n 1 "))
+        lines[at] = "n 0" + lines[at][3:]
+        with pytest.raises(DataError):
+            _load_edited(tmp_path, lines)
+
+    def test_rf_negative_count(self, tmp_path):
+        rows, labels = blobs(seed=4)
+        save_model(fit_random_forest(rows, labels, RfParams(n_trees=1, seed=1)),
+                   tmp_path / "rf.txt")
+        lines = (tmp_path / "rf.txt").read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if " leaf " in ln)
+        lines[at] = " ".join(lines[at].split()[:3] + ["-1", "0", "0"])
+        with pytest.raises(DataError):
+            _load_edited(tmp_path, lines)
+
+    def test_binary_file(self, tmp_path):
+        (tmp_path / "bin.txt").write_bytes(b"ecgbeats-model 1\n\xff\xfe\x00\n")
+        with pytest.raises(DataError):
+            load_model(tmp_path / "bin.txt")
+
+    def test_unedited_file_loads(self, tmp_path):
+        assert _load_edited(tmp_path, _saved_gbdt_lines(tmp_path)).n_features == 2
+
+
 class TestGridSearch:
     def test_single_combination_returned(self):
         rows, labels = blobs(n_per_class=15, seed=7)
