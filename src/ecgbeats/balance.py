@@ -53,8 +53,11 @@ def undersample(rows, labels, targets: dict, seed: int):
 def _nearest_neighbors(points: np.ndarray, k: int) -> np.ndarray:
     """Indices of each point's k nearest same-set neighbors (self excluded).
 
-    Euclidean metric; ties resolve to the lower index via stable argsort.
-    Distances are computed in row chunks so memory stays O(chunk * m).
+    Euclidean metric; equal distances resolve to the lower index. The
+    candidates are every point no farther than the k-th smallest distance
+    (found by a partition, not a full sort); they are sorted by (row,
+    distance, index) and the first k of each row kept. Distances are
+    computed in row chunks so memory stays O(chunk * m).
     """
     m = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
@@ -64,8 +67,14 @@ def _nearest_neighbors(points: np.ndarray, k: int) -> np.ndarray:
         e = min(s + chunk, m)
         d2 = sq[s:e, None] + sq[None, :] - 2.0 * points[s:e] @ points.T
         d2[np.arange(e - s), np.arange(s, e)] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[s:e] = order[:, :k]
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        rows, cols = np.nonzero(d2 <= kth)
+        # nonzero lists each row's columns in ascending order and lexsort is
+        # stable, so equal distances keep the lower index first
+        order = np.lexsort((d2[rows, cols], rows))
+        counts = np.bincount(rows, minlength=e - s)
+        first = np.cumsum(counts) - counts   # where each row's candidates start
+        out[s:e] = cols[order][first[:, None] + np.arange(k)]
     return out
 
 
@@ -79,6 +88,8 @@ def smote(rows, labels, targets: dict, k_neighbors: int = 5, seed: int = 0):
     """
     rows = np.asarray(rows, dtype=float)
     labels = np.asarray(labels, dtype=int)
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError("feature matrix contains non-finite values")
     rng = np.random.default_rng(seed)
     new_rows, new_labels = [], []
     for cls in sorted(targets):

@@ -28,18 +28,19 @@ from . import preprocess as preprocess_mod
 from . import record_io
 from . import synth as synth_mod
 from .encode import MtfConfig, encode_beat
-from .errors import DataError, ParseError, ValidationError
+from .errors import DataError, ValidationError
 from .model import (GbdtParams, RfParams, fit_gbdt, fit_random_forest,
                     grid_search, load_model, predict_batch, save_model)
 from .model.search import stratified_split
-from .preprocess import Beat
-from .record_io import FLOAT_FMT, LabelSet
+from .preprocess import BEAT_LEN, Beat
+from .record_io import LabelSet
 
 STAGES = ("synth", "ingest", "preprocess", "featurize", "balance", "encode",
           "train", "evaluate", "gridsearch", "report")
 
-BEATS_HEADER = [f"s{i}" for i in range(preprocess_mod.BEAT_LEN)] + [
+BEATS_HEADER = [f"s{i}" for i in range(BEAT_LEN)] + [
     "rpeak", "label", "rr_prev", "rr_next", "raw_amp"]
+BEATS_INT_COLS = (BEAT_LEN, BEAT_LEN + 1)   # rpeak, label
 
 
 # ---------------------------------------------------------------------------
@@ -103,35 +104,26 @@ def _parse_targets(spec: str, label_set: LabelSet) -> dict:
 
 
 def write_beats_csv(path, beats) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BEATS_HEADER)
-        for b in beats:
-            writer.writerow([FLOAT_FMT % v for v in b.samples]
-                            + [b.rpeak_index, b.label,
-                               FLOAT_FMT % b.rr_prev, FLOAT_FMT % b.rr_next,
-                               FLOAT_FMT % b.raw_mean_abs_amplitude])
+    data = np.empty((len(beats), len(BEATS_HEADER)))   # filled in place: no temporaries
+    for row, b in zip(data, beats):
+        row[:BEAT_LEN] = b.samples
+        row[BEAT_LEN:] = (b.rpeak_index, b.label, b.rr_prev, b.rr_next,
+                          b.raw_mean_abs_amplitude)
+    record_io.write_numeric_csv(path, data, BEATS_HEADER, int_cols=BEATS_INT_COLS)
+
+
+def _beats_header_problem(fields):
+    return None if fields == BEATS_HEADER else "not a beats file (bad header)"
 
 
 def read_beats_csv(path):
-    beats = []
-    n = preprocess_mod.BEAT_LEN
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != BEATS_HEADER:
-            raise ParseError(path, 1, "not a beats file (bad header)")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(BEATS_HEADER):
-                raise ParseError(path, line_no, f"expected {len(BEATS_HEADER)} columns")
-            beats.append(Beat(
-                samples=np.array([float(v) for v in row[:n]]),
-                rpeak_index=int(row[n]), label=int(row[n + 1]),
-                rr_prev=float(row[n + 2]), rr_next=float(row[n + 3]),
-                raw_mean_abs_amplitude=float(row[n + 4])))
-    return beats
+    data = record_io.read_numeric_csv(path, header=_beats_header_problem,
+                                      int_cols=BEATS_INT_COLS)
+    rpeaks, labels = data[:, BEAT_LEN:BEAT_LEN + 2].astype(int).T.tolist()
+    rr_prev, rr_next, raw_amp = data[:, BEAT_LEN + 2:].T.tolist()
+    return [Beat(samples=data[i, :BEAT_LEN], rpeak_index=rpeaks[i], label=labels[i],
+                 rr_prev=rr_prev[i], rr_next=rr_next[i], raw_mean_abs_amplitude=raw_amp[i])
+            for i in range(data.shape[0])]
 
 
 # ---------------------------------------------------------------------------

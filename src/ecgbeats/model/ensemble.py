@@ -30,15 +30,12 @@ class EnsembleModel:
     n_features: int
     trees: list
     n_rounds: int = 0             # gbdt only
-    base_score: np.ndarray | None = None
     train_logloss: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("gbdt", "rf"):
             raise ValidationError(f"unknown model kind {self.kind!r}")
         if self.kind == "gbdt":
-            if self.base_score is None:
-                self.base_score = np.zeros(self.n_classes)
             if len(self.trees) != self.n_rounds * self.n_classes:
                 raise ValidationError(
                     f"gbdt expects n_rounds*K = {self.n_rounds * self.n_classes} "
@@ -77,7 +74,7 @@ def predict_proba(model: EnsembleModel, rows) -> np.ndarray:
     x = _check_rows(model, rows)
     k = model.n_classes
     if model.kind == "gbdt":
-        raw = np.tile(model.base_score, (x.shape[0], 1))
+        raw = np.zeros((x.shape[0], k))
         for t, tree in enumerate(model.trees):
             raw[:, t % k] += tree.predict_value(x)
         return softmax(raw)

@@ -6,13 +6,20 @@ text editor or `xxd`:
 * signal CSV      -- no header, one row per sample, 1-2 numeric columns (mV)
 * annotation CSV  -- header ``sample_index,label``
 * feature CSV     -- header ``f0..f75,label``, 9 significant digits
+* beats CSV       -- header ``s0..s69,rpeak,label,rr_prev,rr_next,raw_amp``
+  (read and written by ``cli``, through the numeric CSV functions here)
 * image ``.f32``  -- raw little-endian float32, channel-major, 3*32*32 values
 * image ``.pgm``  -- binary 8-bit P5, one file per channel
+
+The signal, feature and beats files end lines with ``\\r\\n``; their readers
+reject non-finite values and name the offending line.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +28,8 @@ from .encode import BeatImage
 from .errors import DataError, ParseError, ValidationError
 
 FLOAT_FMT = "%.9g"  # 9 significant digits everywhere we write decimals
+ROW_CHUNK = 128     # rows formatted per call by write_numeric_csv
+MAX_WHOLE = 2.0 ** 53   # integer columns must be exact in float64
 
 
 @dataclass(frozen=True)
@@ -83,31 +92,122 @@ class EcgRecord:
 
 
 # ---------------------------------------------------------------------------
+# numeric CSVs: the signal, feature and beats files
+# ---------------------------------------------------------------------------
+
+def write_numeric_csv(path, data, header=None, int_cols=()) -> None:
+    """Write a 2-D array as comma-separated rows with ``\\r\\n`` line ends.
+
+    Values use FLOAT_FMT, except the ``int_cols`` columns, which use ``%d``.
+    Each chunk of up to ROW_CHUNK rows is one ``%`` on the row template
+    repeated over the chunk, so memory stays bounded by the chunk.
+    """
+    data = np.asarray(data, dtype=float)
+    fields = [FLOAT_FMT] * data.shape[1]
+    for col in int_cols:
+        fields[col] = "%d"
+    row = ",".join(fields) + "\r\n"
+    full = row * ROW_CHUNK
+    with open(path, "w", newline="") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\r\n")
+        for start in range(0, data.shape[0], ROW_CHUNK):
+            chunk = data[start:start + ROW_CHUNK]
+            template = full if chunk.shape[0] == ROW_CHUNK else row * chunk.shape[0]
+            fh.write(template % tuple(chunk.ravel().tolist()))
+
+
+def read_numeric_csv(path, header=None, widths=None, int_cols=()):
+    """Read a numeric CSV into a float64 ``(rows, columns)`` array.
+
+    ``header`` is None for a headerless file; otherwise it maps the first
+    line's fields to an error message, or to None when they form a valid
+    header. ``widths`` holds the admitted column counts (default: the
+    header's field count); every row has the first row's count. Blank lines
+    are skipped. Every value must be finite, and every ``int_cols`` value a
+    whole number below 2**53 in magnitude.
+
+    numpy's C parser reads the whole file. Only when it, or a check on the
+    array, fails is the file scanned line by line, to name the first
+    offending line in a ParseError.
+    """
+    fields = None
+    if header is not None:
+        with open(path, errors="replace") as fh:
+            fields = fh.readline().rstrip("\r\n").split(",")
+        problem = header(fields)
+        if problem:
+            raise ParseError(path, 1, problem)
+        widths = widths or (len(fields),)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # no data rows
+            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                              skiprows=int(fields is not None))
+    except ValueError as exc:   # a bad token, a ragged row or undecodable bytes
+        _raise_first_bad_line(path, fields is not None, widths, int_cols)
+        raise DataError(f"{path}: {exc}") from None
+    if data.shape[0] == 0:
+        return np.empty((0, min(widths)))
+    whole = data[:, list(int_cols)]
+    if (data.shape[1] not in widths or not np.isfinite(data).all()
+            or not np.all((whole == np.trunc(whole)) & (np.abs(whole) < MAX_WHOLE))):
+        _raise_first_bad_line(path, fields is not None, widths, int_cols)
+        raise DataError(f"{path}: rejected by the array checks but no line was at fault")
+    return data
+
+
+def _raise_first_bad_line(path, has_header, widths, int_cols) -> None:
+    """Raise ParseError at the first line that read_numeric_csv rejects.
+
+    Reports errors only: it returns None when every line is valid.
+    """
+    width = None
+    with open(path, errors="replace") as fh:
+        if has_header:
+            fh.readline()
+        for line_no, line in enumerate(fh, start=1 + has_header):
+            tokens = line.rstrip("\r\n").split(",")
+            if tokens == [""]:
+                continue
+            if width is None:
+                if len(tokens) not in widths:
+                    raise ParseError(path, line_no, f"expected {'/'.join(map(str, widths))} "
+                                                    f"columns, got {len(tokens)}")
+                width = len(tokens)
+                whole_cols = {col % width for col in int_cols}
+            elif len(tokens) != width:
+                raise ParseError(path, line_no, f"expected {width} columns, got {len(tokens)}")
+            for col, token in enumerate(tokens):
+                value = _parse_number(token)
+                if value is None:
+                    raise ParseError(path, line_no, f"non-numeric value {token!r}")
+                if not math.isfinite(value):
+                    raise ParseError(path, line_no, f"non-finite value {token!r}")
+                if col in whole_cols and not (value.is_integer() and abs(value) < MAX_WHOLE):
+                    raise ParseError(path, line_no, f"non-integer value {token!r}")
+
+
+def _parse_number(token: str):
+    """``float(token)`` for the plain ASCII numerals numpy's parser takes, else None."""
+    if not token.isascii() or "_" in token:
+        return None
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+# ---------------------------------------------------------------------------
 # signal + annotation CSVs
 # ---------------------------------------------------------------------------
 
 def read_signal_csv(path) -> np.ndarray:
     """Read a headerless numeric CSV into an (n_samples, n_leads) array."""
-    rows = []
-    width = None
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise ParseError(path, line_no, f"non-numeric sample row {row!r}")
-            if width is None:
-                width = len(values)
-                if not 1 <= width <= 2:
-                    raise ParseError(path, line_no, f"expected 1-2 columns, got {width}")
-            elif len(values) != width:
-                raise ParseError(path, line_no, f"expected {width} columns, got {len(values)}")
-            rows.append(values)
-    if not rows:
+    samples = read_numeric_csv(path, widths=range(1, 3))
+    if samples.shape[0] == 0:
         raise DataError(f"{path}: empty signal file")
-    return np.asarray(rows)
+    return samples
 
 
 def read_annotations_csv(path) -> list:
@@ -133,12 +233,7 @@ def read_annotations_csv(path) -> list:
 
 def write_signal_csv(path, samples: np.ndarray) -> None:
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in samples:
-            writer.writerow([FLOAT_FMT % v for v in row])
+    write_numeric_csv(path, samples[:, None] if samples.ndim == 1 else samples)
 
 
 def write_annotations_csv(path, rpeaks, labels) -> None:
@@ -201,33 +296,19 @@ def save_feature_matrix(rows, labels, path) -> None:
             f"{rows.shape[0]} rows but {labels.shape[0]} labels"
         )
     header = [f"f{i}" for i in range(rows.shape[1])] + ["label"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row, label in zip(rows, labels):
-            writer.writerow([FLOAT_FMT % v for v in row] + [int(label)])
+    write_numeric_csv(path, np.column_stack([rows, labels]), header, int_cols=(-1,))
+
+
+def _feature_header_problem(fields):
+    if fields[-1] != "label" or not fields[0].startswith("f"):
+        return "expected header 'f0..fN,label'"
+    return None
 
 
 def load_feature_matrix(path):
     """Inverse of save_feature_matrix; returns (rows, labels)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-1] != "label" or not header[0].startswith("f"):
-            raise ParseError(path, 1, "expected header 'f0..fN,label'")
-        dim = len(header) - 1
-        rows, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise ParseError(path, line_no, f"expected {dim + 1} columns, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row[:dim]])
-                labels.append(int(row[dim]))
-            except ValueError:
-                raise ParseError(path, line_no, "non-numeric value")
-    return np.asarray(rows, dtype=float).reshape(len(rows), dim), np.asarray(labels, dtype=int)
+    data = read_numeric_csv(path, header=_feature_header_problem, int_cols=(-1,))
+    return np.ascontiguousarray(data[:, :-1]), data[:, -1].astype(int)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecgbeats.balance import BalancePlan, apply_plan, smote, undersample
+from ecgbeats.balance import (BalancePlan, _nearest_neighbors, apply_plan, smote,
+                              undersample)
 from ecgbeats.errors import ValidationError
 from tests.helpers import min_segment_distance
 
@@ -95,6 +98,47 @@ class TestSmote:
         labels = np.array([0, 0, 0])
         out_rows, _ = smote(rows, labels, {0: 50}, k_neighbors=2, seed=3)
         assert np.all(out_rows >= 0.0) and np.all(out_rows <= 5.0)
+
+
+def argsort_nearest_neighbors(points, k):
+    """The full stable-argsort neighbour search the partition replaced (oracle)."""
+    m = points.shape[0]
+    sq = np.einsum("ij,ij->i", points, points)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
+    d2[np.arange(m), np.arange(m)] = np.inf
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+class TestNearestNeighbors:
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(2, 40), dim=st.integers(1, 4), k=st.integers(1, 8),
+           copies=st.integers(1, 4), grid=st.sampled_from([1.0, 0.5, 0.25]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_stable_argsort_on_ties(self, m, dim, k, copies, grid, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct points on a coarse grid, each repeated: many equal distances
+        base = np.round(rng.uniform(-2, 2, size=(max(1, m // copies), dim)) / grid) * grid
+        points = rng.permutation(np.repeat(base, copies, axis=0))
+        k = min(k, points.shape[0] - 1)
+        if k < 1:
+            return
+        got = _nearest_neighbors(points, k)
+        assert np.array_equal(got, argsort_nearest_neighbors(points, k))
+
+    def test_matches_oracle_on_continuous_points(self):
+        points = np.random.default_rng(12).normal(size=(300, 76))
+        assert np.array_equal(_nearest_neighbors(points, 5),
+                              argsort_nearest_neighbors(points, 5))
+
+    def test_all_points_equal_picks_lowest_indices(self):
+        got = _nearest_neighbors(np.ones((6, 3)), 3)
+        assert got.tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 3],
+                                [0, 1, 2], [0, 1, 2], [0, 1, 2]]
+
+    def test_non_finite_rows_rejected(self):
+        rows = np.array([[0.0], [np.nan], [1.0]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            smote(rows, np.zeros(3, dtype=int), {0: 5}, k_neighbors=1, seed=0)
 
 
 class TestApplyPlan:

@@ -165,6 +165,32 @@ class TestErrors:
         assert code == 2
         assert "m.txt" in capsys.readouterr().err
 
+    def test_nan_signal_line_is_data_error(self, tmp_path, capsys):
+        d = tmp_path / "raw"
+        assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
+        lines = (d / "signal.csv").read_text().splitlines()
+        lines[9] = "nan"
+        (d / "signal.csv").write_text("\n".join(lines) + "\n")
+        code = run("preprocess", "--signal", d / "signal.csv",
+                   "--annotations", d / "annotations.csv", "--fs", 250,
+                   "--out-dir", tmp_path / "pre")
+        assert code == 2
+        assert "signal.csv:10: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "pre" / "beats.csv").exists()
+
+    def test_nan_feature_is_data_error(self, tmp_path, capsys, pipeline_dir):
+        lines = (pipeline_dir / "features_train.csv").read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[5] = "nan"
+        lines[3] = ",".join(fields)
+        features = tmp_path / "f.csv"
+        features.write_text("\n".join(lines) + "\n")
+        code = run("balance", "--features", features, "--out", tmp_path / "b.csv",
+                   "--targets", "N=30,S=30,V=30")
+        assert code == 2
+        assert "f.csv:4: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
     def test_band_validation(self, tmp_path):
         d = tmp_path / "raw"
         assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
