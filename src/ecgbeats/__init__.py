@@ -14,9 +14,9 @@ from .metrics import confusion_matrix, macro_metrics
 from .model import (EnsembleModel, GbdtParams, RfParams, fit_gbdt,
                     fit_random_forest, grid_search, load_model, predict,
                     predict_batch, save_model)
-from .preprocess import (Beat, bandpass_filter, normalize_beat, normalize_beats,
-                         preprocess_record, resample, segment_beats)
-from .record_io import (EcgRecord, LabelSet, export_image, load_feature_matrix,
+from .preprocess import (bandpass_filter, normalize_beats, preprocess_record, resample,
+                         segment_beats)
+from .record_io import (Beats, EcgRecord, LabelSet, export_image, load_feature_matrix,
                         load_record, save_feature_matrix)
 from .synth import SynthConfig, generate
 

@@ -32,15 +32,10 @@ from .errors import DataError, ValidationError
 from .model import (GbdtParams, RfParams, fit_gbdt, fit_random_forest,
                     grid_search, load_model, predict_batch, save_model)
 from .model.search import stratified_split
-from .preprocess import BEAT_LEN, Beat
-from .record_io import LabelSet
+from .record_io import LabelSet, read_beats_csv, write_beats_csv
 
 STAGES = ("synth", "ingest", "preprocess", "featurize", "balance", "encode",
           "train", "evaluate", "gridsearch", "report")
-
-BEATS_HEADER = [f"s{i}" for i in range(BEAT_LEN)] + [
-    "rpeak", "label", "rr_prev", "rr_next", "raw_amp"]
-BEATS_INT_COLS = (BEAT_LEN, BEAT_LEN + 1)   # rpeak, label
 
 
 # ---------------------------------------------------------------------------
@@ -101,29 +96,6 @@ def _parse_targets(spec: str, label_set: LabelSet) -> dict:
             raise ValidationError(f"bad target {item!r}; the count must be positive")
         targets[label_set.id_of(name.strip())] = value
     return targets
-
-
-def write_beats_csv(path, beats) -> None:
-    data = np.empty((len(beats), len(BEATS_HEADER)))   # filled in place: no temporaries
-    for row, b in zip(data, beats):
-        row[:BEAT_LEN] = b.samples
-        row[BEAT_LEN:] = (b.rpeak_index, b.label, b.rr_prev, b.rr_next,
-                          b.raw_mean_abs_amplitude)
-    record_io.write_numeric_csv(path, data, BEATS_HEADER, int_cols=BEATS_INT_COLS)
-
-
-def _beats_header_problem(fields):
-    return None if fields == BEATS_HEADER else "not a beats file (bad header)"
-
-
-def read_beats_csv(path):
-    data = record_io.read_numeric_csv(path, header=_beats_header_problem,
-                                      int_cols=BEATS_INT_COLS)
-    rpeaks, labels = data[:, BEAT_LEN:BEAT_LEN + 2].astype(int).T.tolist()
-    rr_prev, rr_next, raw_amp = data[:, BEAT_LEN + 2:].T.tolist()
-    return [Beat(samples=data[i, :BEAT_LEN], rpeak_index=rpeaks[i], label=labels[i],
-                 rr_prev=rr_prev[i], rr_next=rr_next[i], raw_mean_abs_amplitude=raw_amp[i])
-            for i in range(data.shape[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +186,7 @@ def cmd_featurize(args) -> int:
     with open(meta_path) as fh:
         meta = json.load(fh)
     hrv = (meta["hrv_mean"], meta["hrv_median"], meta["hrv_var"])
-    rows = np.asarray([features_mod.beat_features(b, hrv) for b in beats])
-    rows = rows.reshape(len(beats), features_mod.N_FEATURES)
-    labels = np.asarray([b.label for b in beats], dtype=int)
+    rows, labels = features_mod.beat_features(beats, hrv), beats.label
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -245,6 +215,7 @@ def cmd_balance(args) -> int:
     targets = _parse_targets(args.targets, label_set)
     _require_inputs(args.features)
     rows, labels = record_io.load_feature_matrix(args.features)
+    metrics_mod.check_labels(labels, len(label_set))
     plan = balance_mod.BalancePlan(targets=targets, k_neighbors=args.k_neighbors,
                                    seed=args.seed)
     rows, labels = balance_mod.apply_plan(rows, labels, plan)
@@ -264,10 +235,10 @@ def cmd_encode(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     index_rows = []
-    for i, beat in enumerate(beats):
+    for i, (samples, label) in enumerate(zip(beats.samples, beats.label.tolist())):
         stem = out / f"beat_{i:05d}"
-        record_io.export_image(encode_beat(beat.samples, cfg), stem)
-        index_rows.append((stem.name, beat.label))
+        record_io.export_image(encode_beat(samples, cfg), stem)
+        index_rows.append((stem.name, label))
     with open(out / "index.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stem", "label"])

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .preprocess import BEAT_LEN, Beat
+from .record_io import Beats
 
 N_FEATURES = 76
 
@@ -37,30 +37,25 @@ def hrv_stats(rr) -> tuple:
     return float(np.mean(x)), float(np.median(x)), float(np.var(x))
 
 
-def beat_features(beat: Beat, record_hrv: tuple) -> np.ndarray:
-    """Assemble one 76-dim feature row for a normalized beat."""
-    if beat.samples.shape[0] != BEAT_LEN:
-        raise ValidationError(f"beat has {beat.samples.shape[0]} samples, expected {BEAT_LEN}")
-    if beat.rr_prev <= 0 or beat.rr_next <= 0:
-        raise ValidationError(
-            f"RR intervals must be positive, got ({beat.rr_prev}, {beat.rr_next})"
-        )
-    row = np.empty(N_FEATURES)
-    row[:BEAT_LEN] = beat.samples
-    row[70:73] = record_hrv
-    row[73] = beat.raw_mean_abs_amplitude
-    row[74] = math.log(beat.rr_prev)
-    row[75] = math.log(beat.rr_next)
-    return row
+def _log(x: np.ndarray) -> np.ndarray:
+    # libm's log, value by value: numpy's vectorized log differs from it in
+    # the last bit on some inputs, and the feature files are pinned to libm
+    return np.fromiter(map(math.log, x.tolist()), float, x.shape[0])
 
 
-def build_feature_matrix(beats, rpeaks, fs: float):
+def beat_features(beats: Beats, record_hrv: tuple) -> np.ndarray:
+    """The (n, 76) feature matrix of normalized beats, one row per beat."""
+    if np.any(beats.rr_prev <= 0) or np.any(beats.rr_next <= 0):
+        raise ValidationError("RR intervals must be positive")
+    hrv = np.broadcast_to(np.asarray(record_hrv, dtype=float), (len(beats), 3))
+    return np.column_stack([beats.samples, hrv, beats.raw_amp,
+                            _log(beats.rr_prev), _log(beats.rr_next)])
+
+
+def build_feature_matrix(beats: Beats, rpeaks, fs: float):
     """Feature rows + label ids for all beats of one record.
 
     ``rpeaks`` is the record's full R-peak list (not just kept beats): the
     HRV statistics describe the whole recording.
     """
-    stats = hrv_stats(rr_intervals(rpeaks, fs))
-    rows = np.asarray([beat_features(b, stats) for b in beats]).reshape(len(beats), N_FEATURES)
-    labels = np.asarray([b.label for b in beats], dtype=int)
-    return rows, labels
+    return beat_features(beats, hrv_stats(rr_intervals(rpeaks, fs))), beats.label

@@ -10,6 +10,12 @@ import numpy as np
 from .errors import ValidationError
 
 
+def check_labels(labels, n_classes: int) -> None:
+    """Raise ValidationError unless every label is a class id in 0..n_classes-1."""
+    if len(labels) and (np.min(labels) < 0 or np.max(labels) >= n_classes):
+        raise ValidationError(f"labels outside 0..{n_classes - 1}")
+
+
 def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
     """K x K counts; rows are true classes, columns predicted classes."""
     y_true = np.asarray(y_true, dtype=int)
@@ -18,9 +24,8 @@ def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
         raise ValidationError(
             f"length mismatch: {y_true.shape[0]} true vs {y_pred.shape[0]} predicted"
         )
-    for name, y in (("true", y_true), ("predicted", y_pred)):
-        if y.size and (y.min() < 0 or y.max() >= n_classes):
-            raise ValidationError(f"{name} label outside 0..{n_classes - 1}")
+    check_labels(y_true, n_classes)
+    check_labels(y_pred, n_classes)
     cm = np.zeros((n_classes, n_classes), dtype=int)
     np.add.at(cm, (y_true, y_pred), 1)
     return cm

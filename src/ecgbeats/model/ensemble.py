@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ValidationError
+from ..metrics import check_labels
 
 
 def softmax(raw: np.ndarray) -> np.ndarray:
@@ -55,8 +56,7 @@ def check_training_data(rows, labels, n_classes: int | None):
     if present.shape[0] < 2:
         raise ValidationError("training data contains a single class")
     k = int(n_classes) if n_classes is not None else int(present.max()) + 1
-    if present.min() < 0 or present.max() >= k:
-        raise ValidationError(f"labels outside 0..{k - 1}")
+    check_labels(present, k)
     return x, y, k
 
 
@@ -66,6 +66,8 @@ def _check_rows(model: EnsembleModel, rows: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"row has {rows.shape[1]} features, model expects {model.n_features}"
         )
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError("rows contain non-finite values")
     return rows
 
 

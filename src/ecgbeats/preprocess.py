@@ -4,36 +4,18 @@ beat segmentation around annotated R-peaks, per-beat min-max normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .record_io import EcgRecord, LabelSet
+from .record_io import BEAT_LEN, Beats, EcgRecord, LabelSet
 
-BEAT_LEN = 70        # samples per beat
-HALF_WINDOW = 35     # samples either side of the R-peak
+HALF_WINDOW = BEAT_LEN // 2   # samples either side of the R-peak
 TARGET_FS = 180.0
 BAND_LOW_HZ = 0.5
 BAND_HIGH_HZ = 35.0
 FILTER_ORDER = 4
-
-
-@dataclass
-class Beat:
-    """One segmented beat with its RR context.
-
-    ``samples`` are the 70 in-window values (filtered mV after segmentation,
-    [-1, 1] after normalize_beats). ``raw_mean_abs_amplitude`` is captured at
-    segmentation time so normalization cannot erase it.
-    """
-
-    samples: np.ndarray
-    rpeak_index: int
-    label: int
-    rr_prev: float           # seconds
-    rr_next: float           # seconds
-    raw_mean_abs_amplitude: float
 
 
 def resample(signal, from_hz: float, to_hz: float) -> np.ndarray:
@@ -103,50 +85,35 @@ def preprocess_record(record: EcgRecord, to_hz: float = TARGET_FS,
     return filter_record(resample_record(record, to_hz), low, high)
 
 
-def segment_beats(record: EcgRecord, label_set: LabelSet = LabelSet(),
-                  lead: int = 0):
-    """Cut the record into 70-sample beats around each R-peak.
+def segment_beats(record: EcgRecord, label_set: LabelSet = LabelSet()):
+    """Cut lead 0 of the record into 70-sample beats around each R-peak.
 
     A beat is kept only when the window [r-35, r+35) fits inside the record
     and the peak has both a predecessor and a successor (the RR features need
     both). Returns ``(beats, dropped_count)``; kept + dropped equals the
     R-peak count.
     """
-    signal = record.leads[lead]
-    n = signal.shape[0]
-    rpeaks = record.rpeaks
-    beats, dropped = [], 0
-    for i, r in enumerate(rpeaks):
-        has_context = 0 < i < len(rpeaks) - 1
-        if not has_context or r - HALF_WINDOW < 0 or r + HALF_WINDOW > n:
-            dropped += 1
-            continue
-        window = signal[r - HALF_WINDOW:r + HALF_WINDOW]
-        beats.append(Beat(
-            samples=window.copy(),
-            rpeak_index=int(r),
-            label=label_set.id_of(record.labels[i]),
-            rr_prev=(r - rpeaks[i - 1]) / record.fs,
-            rr_next=(rpeaks[i + 1] - r) / record.fs,
-            raw_mean_abs_amplitude=float(np.mean(np.abs(window))),
-        ))
-    return beats, dropped
+    signal, rpeaks = record.leads[0], record.rpeaks
+    keep = (rpeaks >= HALF_WINDOW) & (rpeaks + HALF_WINDOW <= signal.shape[0])
+    keep[:1] = keep[-1:] = False
+    idx = np.flatnonzero(keep)
+    r = rpeaks[idx]
+    samples = signal[r[:, None] + np.arange(-HALF_WINDOW, HALF_WINDOW)]
+    symbols, inverse = np.unique(np.asarray(record.labels, dtype=str)[idx],
+                                 return_inverse=True)
+    label = np.array([label_set.id_of(s) for s in symbols.tolist()], dtype=int)[inverse]
+    beats = Beats(samples=samples, rpeak=r, label=label,
+                  rr_prev=(r - rpeaks[idx - 1]) / record.fs,
+                  rr_next=(rpeaks[idx + 1] - r) / record.fs,
+                  raw_amp=np.mean(np.abs(samples), axis=1))
+    return beats, rpeaks.shape[0] - idx.shape[0]
 
 
-def normalize_beat(samples) -> np.ndarray:
-    """Min-max scale a 70-sample beat into [-1, 1]; a flat beat maps to zeros."""
-    x = np.asarray(samples, dtype=float)
-    if x.shape[0] != BEAT_LEN:
-        raise ValidationError(f"expected {BEAT_LEN} samples, got {x.shape[0]}")
-    lo, hi = x.min(), x.max()
-    if hi == lo:
-        return np.zeros_like(x)
-    return 2.0 * (x - lo) / (hi - lo) - 1.0
-
-
-def normalize_beats(beats) -> list:
-    """Normalize each beat's samples in place-order, returning new Beat objects."""
-    return [Beat(samples=normalize_beat(b.samples), rpeak_index=b.rpeak_index,
-                 label=b.label, rr_prev=b.rr_prev, rr_next=b.rr_next,
-                 raw_mean_abs_amplitude=b.raw_mean_abs_amplitude)
-            for b in beats]
+def normalize_beats(beats: Beats) -> Beats:
+    """Min-max scale each beat's samples into [-1, 1]; a flat beat maps to zeros."""
+    x = beats.samples
+    lo, hi = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
+    flat = hi == lo
+    samples = 2.0 * (x - lo) / np.where(flat, 1.0, hi - lo) - 1.0
+    samples[flat[:, 0]] = 0.0
+    return replace(beats, samples=samples)

@@ -6,8 +6,8 @@ text editor or `xxd`:
 * signal CSV      -- no header, one row per sample, 1-2 numeric columns (mV)
 * annotation CSV  -- header ``sample_index,label``
 * feature CSV     -- header ``f0..f75,label``, 9 significant digits
-* beats CSV       -- header ``s0..s69,rpeak,label,rr_prev,rr_next,raw_amp``
-  (read and written by ``cli``, through the numeric CSV functions here)
+* beats CSV       -- header ``s0..s69,rpeak,label,rr_prev,rr_next,raw_amp``,
+  one row per beat of a ``Beats``
 * image ``.f32``  -- raw little-endian float32, channel-major, 3*32*32 values
 * image ``.pgm``  -- binary 8-bit P5, one file per channel
 
@@ -18,6 +18,7 @@ reject non-finite values and name the offending line.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .errors import DataError, ParseError, ValidationError
 FLOAT_FMT = "%.9g"  # 9 significant digits everywhere we write decimals
 ROW_CHUNK = 128     # rows formatted per call by write_numeric_csv
 MAX_WHOLE = 2.0 ** 53   # integer columns must be exact in float64
+BEAT_LEN = 70       # samples per beat
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,31 @@ class EcgRecord:
     @property
     def n_samples(self) -> int:
         return self.leads[0].shape[0]
+
+
+@dataclass
+class Beats:
+    """Segmented beats as parallel arrays, one row or entry per beat.
+
+    ``samples`` holds each beat's 70 in-window values (filtered mV after
+    segmentation, [-1, 1] after normalize_beats). ``raw_amp`` is the beat's
+    mean absolute filtered amplitude, captured at segmentation time so
+    normalization cannot erase it.
+    """
+
+    samples: np.ndarray   # (n, 70) float
+    rpeak: np.ndarray     # (n,) int, R-peak sample index
+    label: np.ndarray     # (n,) int, class id
+    rr_prev: np.ndarray   # (n,) float, seconds
+    rr_next: np.ndarray   # (n,) float, seconds
+    raw_amp: np.ndarray   # (n,) float
+
+    def __post_init__(self):
+        if self.samples.ndim != 2 or self.samples.shape[1] != BEAT_LEN:
+            raise ValidationError(f"expected (n, {BEAT_LEN}) samples, got {self.samples.shape}")
+
+    def __len__(self):
+        return self.samples.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +239,28 @@ def read_signal_csv(path) -> np.ndarray:
 
 def read_annotations_csv(path) -> list:
     """Read ``sample_index,label`` rows; returns [(index, symbol), ...] unsorted."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, raw.count(b"\n", 0, exc.start) + 1,
+                         f"undecodable byte {raw[exc.start]:#04x}") from None
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["sample_index", "label"]:
-            raise ParseError(path, 1, "expected header 'sample_index,label'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ParseError(path, line_no, f"expected 2 columns, got {len(row)}")
-            try:
-                idx = int(row[0])
-            except ValueError:
-                raise ParseError(path, line_no, f"non-integer sample index {row[0]!r}")
-            out.append((idx, row[1].strip()))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:2]] != ["sample_index", "label"]:
+        raise ParseError(path, 1, "expected header 'sample_index,label'")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise ParseError(path, line_no, f"expected 2 columns, got {len(row)}")
+        try:
+            idx = int(row[0])
+        except ValueError:
+            raise ParseError(path, line_no, f"non-integer sample index {row[0]!r}")
+        out.append((idx, row[1].strip()))
     return out
 
 
@@ -240,8 +273,7 @@ def write_annotations_csv(path, rpeaks, labels) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_index", "label"])
-        for idx, sym in zip(rpeaks, labels):
-            writer.writerow([int(idx), sym])
+        writer.writerows(zip(np.asarray(rpeaks, dtype=int).tolist(), labels))
 
 
 def load_record(signal_path, annotation_path, fs: float, lead_select: int | None = 0,
@@ -279,6 +311,33 @@ def load_record(signal_path, annotation_path, fs: float, lead_select: int | None
     record = EcgRecord(leads=leads, fs=fs, rpeaks=np.asarray(rpeaks, dtype=int),
                        labels=labels)
     return record, skipped
+
+
+# ---------------------------------------------------------------------------
+# beats
+# ---------------------------------------------------------------------------
+
+BEATS_HEADER = [f"s{i}" for i in range(BEAT_LEN)] + [
+    "rpeak", "label", "rr_prev", "rr_next", "raw_amp"]
+BEATS_INT_COLS = (BEAT_LEN, BEAT_LEN + 1)   # rpeak, label
+
+
+def write_beats_csv(path, beats: Beats) -> None:
+    data = np.column_stack([beats.samples, beats.rpeak, beats.label, beats.rr_prev,
+                            beats.rr_next, beats.raw_amp])
+    write_numeric_csv(path, data, BEATS_HEADER, int_cols=BEATS_INT_COLS)
+
+
+def _beats_header_problem(fields):
+    return None if fields == BEATS_HEADER else "not a beats file (bad header)"
+
+
+def read_beats_csv(path) -> Beats:
+    data = read_numeric_csv(path, header=_beats_header_problem, int_cols=BEATS_INT_COLS)
+    rpeak, label = data[:, BEAT_LEN:BEAT_LEN + 2].astype(int).T
+    rr_prev, rr_next, raw_amp = data[:, BEAT_LEN + 2:].T
+    return Beats(samples=data[:, :BEAT_LEN], rpeak=rpeak, label=label,
+                 rr_prev=rr_prev, rr_next=rr_next, raw_amp=raw_amp)
 
 
 # ---------------------------------------------------------------------------

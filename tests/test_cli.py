@@ -191,6 +191,33 @@ class TestErrors:
         assert "f.csv:4: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
+    def test_undecodable_annotation_is_data_error(self, tmp_path, capsys):
+        d = tmp_path / "raw"
+        assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
+        (d / "annotations.csv").write_bytes(b"sample_index,label\n\xff\xfe,N\n")
+        code = run("preprocess", "--signal", d / "signal.csv",
+                   "--annotations", d / "annotations.csv", "--fs", 250,
+                   "--out-dir", tmp_path / "pre")
+        assert code == 2
+        assert "annotations.csv:2: undecodable byte 0xff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["7", "-1"])
+    def test_out_of_set_label_rejected_by_balance_as_by_train(self, tmp_path, capsys,
+                                                              pipeline_dir, label):
+        lines = (pipeline_dir / "features_train.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + label
+        features = tmp_path / "f.csv"
+        features.write_text("\n".join(lines) + "\n")
+        code = run("balance", "--features", features, "--out", tmp_path / "b.csv",
+                   "--targets", "N=20,S=20,V=20")
+        assert code == 1
+        assert "labels outside 0..2" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+        code = run("train", "--features", features, "--out", tmp_path / "m.txt",
+                   "--n-estimators", 1)
+        assert code == 1
+        assert "labels outside 0..2" in capsys.readouterr().err
+
     def test_band_validation(self, tmp_path):
         d = tmp_path / "raw"
         assert run("synth", "--out-dir", d, "--n-beats", 5) == 0

@@ -17,9 +17,10 @@ from hypothesis.extra.numpy import arrays
 
 from ecgbeats import cli
 from ecgbeats.errors import DataError, ParseError
-from ecgbeats.preprocess import BEAT_LEN, Beat
-from ecgbeats.record_io import (FLOAT_FMT, load_feature_matrix, read_signal_csv,
-                                save_feature_matrix, write_signal_csv)
+from ecgbeats.record_io import (BEAT_LEN, BEATS_HEADER, FLOAT_FMT, Beats,
+                                load_feature_matrix, read_beats_csv, read_signal_csv,
+                                save_feature_matrix, write_annotations_csv, write_beats_csv,
+                                write_signal_csv)
 
 # ---------------------------------------------------------------------------
 # oracles: the csv-module readers and writers the new I/O replaced
@@ -94,32 +95,39 @@ def oracle_load_feature_matrix(path):
 def oracle_write_beats_csv(path, beats):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cli.BEATS_HEADER)
-        for b in beats:
-            writer.writerow([FLOAT_FMT % v for v in b.samples]
-                            + [b.rpeak_index, b.label,
-                               FLOAT_FMT % b.rr_prev, FLOAT_FMT % b.rr_next,
-                               FLOAT_FMT % b.raw_mean_abs_amplitude])
+        writer.writerow(BEATS_HEADER)
+        for i in range(len(beats)):
+            writer.writerow([FLOAT_FMT % v for v in beats.samples[i]]
+                            + [int(beats.rpeak[i]), int(beats.label[i]),
+                               FLOAT_FMT % beats.rr_prev[i], FLOAT_FMT % beats.rr_next[i],
+                               FLOAT_FMT % beats.raw_amp[i]])
 
 
 def oracle_read_beats_csv(path):
-    beats = []
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != cli.BEATS_HEADER:
+        if header != BEATS_HEADER:
             raise ParseError(path, 1, "not a beats file (bad header)")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(cli.BEATS_HEADER):
-                raise ParseError(path, line_no, f"expected {len(cli.BEATS_HEADER)} columns")
-            beats.append(Beat(
-                samples=np.array([float(v) for v in row[:BEAT_LEN]]),
-                rpeak_index=int(row[BEAT_LEN]), label=int(row[BEAT_LEN + 1]),
-                rr_prev=float(row[BEAT_LEN + 2]), rr_next=float(row[BEAT_LEN + 3]),
-                raw_mean_abs_amplitude=float(row[BEAT_LEN + 4])))
-    return beats
+            if len(row) != len(BEATS_HEADER):
+                raise ParseError(path, line_no, f"expected {len(BEATS_HEADER)} columns")
+            rows.append(([float(v) for v in row[:BEAT_LEN]], int(row[BEAT_LEN]),
+                         int(row[BEAT_LEN + 1]), float(row[BEAT_LEN + 2]),
+                         float(row[BEAT_LEN + 3]), float(row[BEAT_LEN + 4])))
+    return beats_of(rows)
+
+
+def beats_of(rows):
+    """A Beats from (samples, rpeak, label, rr_prev, rr_next, raw_amp) tuples."""
+    samples, rpeak, label, rr_prev, rr_next, raw_amp = zip(*rows) if rows else [[]] * 6
+    return Beats(samples=np.reshape(samples, (len(rows), BEAT_LEN)),
+                 rpeak=np.array(rpeak, dtype=int), label=np.array(label, dtype=int),
+                 rr_prev=np.array(rr_prev, dtype=float), rr_next=np.array(rr_next, dtype=float),
+                 raw_amp=np.array(raw_amp, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +217,36 @@ beats_strategy = st.lists(
 @FS
 @given(specs=beats_strategy)
 def test_beats_bytes_and_fields_match_oracle(tmp_path, specs):
-    beats = [Beat(samples=s, rpeak_index=r, label=lab, rr_prev=p, rr_next=q,
-                  raw_mean_abs_amplitude=a) for s, r, lab, p, q, a in specs]
+    beats = beats_of(specs)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    cli.write_beats_csv(new, beats)
+    write_beats_csv(new, beats)
     oracle_write_beats_csv(old, beats)
     assert new.read_bytes() == old.read_bytes()
-    got, want = cli.read_beats_csv(old), oracle_read_beats_csv(old)
+    got, want = read_beats_csv(old), oracle_read_beats_csv(old)
     assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(bits(g.samples), bits(w.samples))
-        assert (g.rpeak_index, g.label) == (w.rpeak_index, w.label)
-        assert type(g.rpeak_index) is int and type(g.label) is int
-        assert bits([g.rr_prev, g.rr_next, g.raw_mean_abs_amplitude]).tolist() == \
-            bits([w.rr_prev, w.rr_next, w.raw_mean_abs_amplitude]).tolist()
+    assert np.array_equal(bits(got.samples), bits(want.samples))
+    assert np.array_equal(got.rpeak, want.rpeak) and np.array_equal(got.label, want.label)
+    assert got.rpeak.dtype.kind == "i" and got.label.dtype.kind == "i"
+    for name in ("rr_prev", "rr_next", "raw_amp"):
+        assert bits(getattr(got, name)).tolist() == bits(getattr(want, name)).tolist()
+
+
+def oracle_write_annotations_csv(path, rpeaks, labels):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_index", "label"])
+        for idx, sym in zip(rpeaks, labels):
+            writer.writerow([int(idx), sym])
+
+
+@pytest.mark.parametrize("rpeaks", [np.array([3, 90, 2**40]), [3, 90, 2**40],
+                                    np.array([3.0, 90.7, 1e12]), []])
+def test_annotations_bytes_match_oracle(tmp_path, rpeaks):
+    labels = ["N", "S, V", "V"][:len(rpeaks)]
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_annotations_csv(new, rpeaks, labels)
+    oracle_write_annotations_csv(old, rpeaks, labels)
+    assert new.read_bytes() == old.read_bytes()
 
 
 def test_rows_written_in_several_chunks(tmp_path):
@@ -319,28 +343,28 @@ def test_header_only_feature_file_matches_oracle(tmp_path):
     assert labels.shape == want_labels.shape == (0,)
 
 
-BEATS_HEADER = ",".join(cli.BEATS_HEADER) + "\r\n"
+BEATS_HEADER_LINE = ",".join(BEATS_HEADER) + "\r\n"
 GOOD_BEAT = ",".join(["0.5"] * BEAT_LEN + ["100", "1", "0.8", "0.8", "0.2"]) + "\r\n"
 
 
 @pytest.mark.parametrize("text", [
     "",
-    BEATS_HEADER.replace("s0,", "t0,"),
-    BEATS_HEADER + GOOD_BEAT + "\r\n" + GOOD_BEAT.replace("0.8,0.8,", "0.8,"),
+    BEATS_HEADER_LINE.replace("s0,", "t0,"),
+    BEATS_HEADER_LINE + GOOD_BEAT + "\r\n" + GOOD_BEAT.replace("0.8,0.8,", "0.8,"),
 ])
 def test_beats_error_line_matches_oracle(tmp_path, text):
     path = tmp_path / "b.csv"
     path.write_text(text, newline="")
     want = parse_line(oracle_read_beats_csv, path)
     assert want is not None
-    assert parse_line(cli.read_beats_csv, path) == want
+    assert parse_line(read_beats_csv, path) == want
 
 
 @pytest.mark.parametrize("text, line", [
-    (BEATS_HEADER + GOOD_BEAT + "\r\n" + GOOD_BEAT.replace(",100,", ",1e2.5,"), 4),
-    (BEATS_HEADER + GOOD_BEAT.replace(",100,1,", ",100,1.5,"), 2),      # a label of 1.5
-    (BEATS_HEADER + GOOD_BEAT + GOOD_BEAT.replace(",100,", ",99.5,"), 3),
-    (BEATS_HEADER + GOOD_BEAT.replace("0.5,", "x,", 1), 2),
+    (BEATS_HEADER_LINE + GOOD_BEAT + "\r\n" + GOOD_BEAT.replace(",100,", ",1e2.5,"), 4),
+    (BEATS_HEADER_LINE + GOOD_BEAT.replace(",100,1,", ",100,1.5,"), 2),      # a label of 1.5
+    (BEATS_HEADER_LINE + GOOD_BEAT + GOOD_BEAT.replace(",100,", ",99.5,"), 3),
+    (BEATS_HEADER_LINE + GOOD_BEAT.replace("0.5,", "x,", 1), 2),
 ])
 def test_beats_bad_value_names_its_line(tmp_path, text, line):
     # the oracle let these escape as a bare ValueError, with no line
@@ -348,7 +372,7 @@ def test_beats_bad_value_names_its_line(tmp_path, text, line):
     path.write_text(text, newline="")
     with pytest.raises(ValueError):
         oracle_read_beats_csv(path)
-    assert parse_line(cli.read_beats_csv, path) == line
+    assert parse_line(read_beats_csv, path) == line
 
 
 SIGNAL_TOKENS = ["0.5", "-1e-3", "7", " 2 ", "x", "", "1.5e+300"]
@@ -414,9 +438,9 @@ def test_feature_non_finite_rejected(tmp_path):
 
 def test_beats_non_finite_rejected(tmp_path):
     path = tmp_path / "b.csv"
-    path.write_text(BEATS_HEADER + GOOD_BEAT + GOOD_BEAT.replace(",0.2\r\n", ",inf\r\n"))
+    path.write_text(BEATS_HEADER_LINE + GOOD_BEAT + GOOD_BEAT.replace(",0.2\r\n", ",inf\r\n"))
     with pytest.raises(ParseError, match=":3: non-finite"):
-        cli.read_beats_csv(path)
+        read_beats_csv(path)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,27 @@ from hypothesis import strategies as st
 from ecgbeats.errors import ValidationError
 from ecgbeats.features import (N_FEATURES, beat_features, build_feature_matrix,
                                hrv_stats, rr_intervals)
-from ecgbeats.preprocess import BEAT_LEN, Beat, normalize_beat
+from ecgbeats.preprocess import BEAT_LEN, normalize_beats
+from ecgbeats.record_io import Beats
 
 
 def _beat(samples=None, rr_prev=1.0, rr_next=1.0, raw_amp=0.5, label=0):
+    """One beat as a 1-row batch."""
     if samples is None:
         samples = np.zeros(BEAT_LEN)
-    return Beat(samples=np.asarray(samples, dtype=float), rpeak_index=100,
-                label=label, rr_prev=rr_prev, rr_next=rr_next,
-                raw_mean_abs_amplitude=raw_amp)
+    return Beats(samples=np.reshape(samples, (1, -1)), rpeak=np.array([100]),
+                 label=np.array([label]), rr_prev=np.array([rr_prev]),
+                 rr_next=np.array([rr_next]), raw_amp=np.array([raw_amp]))
+
+
+def beat_row(beat, record_hrv):
+    rows = beat_features(beat, record_hrv)
+    assert rows.shape == (1, N_FEATURES)
+    return rows[0]
+
+
+def normalize_beat(samples):
+    return normalize_beats(_beat(samples)).samples[0]
 
 
 class TestRrIntervals:
@@ -67,16 +79,15 @@ class TestHrvStats:
 
 class TestBeatFeatures:
     def test_unit_rr_gives_zero_logs(self):
-        row = beat_features(_beat(rr_prev=1.0, rr_next=1.0), (1.0, 1.0, 0.0))
+        row = beat_row(_beat(rr_prev=1.0, rr_next=1.0), (1.0, 1.0, 0.0))
         assert row[74] == 0.0 and row[75] == 0.0
 
     def test_zero_amplitude(self):
-        row = beat_features(_beat(raw_amp=0.0), (1.0, 1.0, 0.0))
+        row = beat_row(_beat(raw_amp=0.0), (1.0, 1.0, 0.0))
         assert row[73] == 0.0
 
     def test_layout(self):
-        row = beat_features(_beat(rr_prev=2.0, rr_next=0.5, raw_amp=0.3),
-                            (0.9, 0.8, 0.02))
+        row = beat_row(_beat(rr_prev=2.0, rr_next=0.5, raw_amp=0.3), (0.9, 0.8, 0.02))
         assert row.shape == (N_FEATURES,)
         assert np.array_equal(row[:70], np.zeros(70))
         assert tuple(row[70:73]) == (0.9, 0.8, 0.02)
@@ -89,24 +100,24 @@ class TestBeatFeatures:
         for _ in range(100):
             raw = rng.normal(size=BEAT_LEN)
             normalized = normalize_beat(raw)
-            row = beat_features(_beat(samples=normalized), (1.0, 1.0, 0.0))
+            row = beat_row(_beat(samples=normalized), (1.0, 1.0, 0.0))
             assert np.array_equal(row[:70], normalized)
 
     def test_rr_scaling_shifts_logs_by_log_c(self):
         hrv = (1.0, 1.0, 0.0)
         for c in (0.5, 2.0, 7.25):
-            base = beat_features(_beat(rr_prev=0.8, rr_next=1.1), hrv)
-            scaled = beat_features(_beat(rr_prev=c * 0.8, rr_next=c * 1.1), hrv)
+            base = beat_row(_beat(rr_prev=0.8, rr_next=1.1), hrv)
+            scaled = beat_row(_beat(rr_prev=c * 0.8, rr_next=c * 1.1), hrv)
             assert scaled[74] - base[74] == pytest.approx(math.log(c), abs=1e-12)
             assert scaled[75] - base[75] == pytest.approx(math.log(c), abs=1e-12)
 
     def test_non_positive_rr_rejected(self):
         with pytest.raises(ValidationError):
-            beat_features(_beat(rr_prev=0.0), (1.0, 1.0, 0.0))
+            beat_row(_beat(rr_prev=0.0), (1.0, 1.0, 0.0))
 
     def test_all_values_finite(self):
         rng = np.random.default_rng(12)
-        row = beat_features(
+        row = beat_row(
             _beat(samples=normalize_beat(rng.normal(size=BEAT_LEN)),
                   rr_prev=0.004, rr_next=9.0), (2.0, 1.5, 0.3))
         assert np.isfinite(row).all()
@@ -114,7 +125,9 @@ class TestBeatFeatures:
 
 class TestBuildFeatureMatrix:
     def test_dimensions_and_labels(self):
-        beats = [_beat(label=0), _beat(label=2), _beat(label=1)]
+        beats = Beats(samples=np.zeros((3, BEAT_LEN)), rpeak=np.array([100, 200, 300]),
+                      label=np.array([0, 2, 1]), rr_prev=np.ones(3), rr_next=np.ones(3),
+                      raw_amp=np.full(3, 0.5))
         rows, labels = build_feature_matrix(beats, [0, 180, 360, 540], 180.0)
         assert rows.shape == (3, N_FEATURES)
         assert labels.tolist() == [0, 2, 1]

@@ -144,6 +144,16 @@ class TestPredict:
         with pytest.raises(ValidationError):
             predict(model, [0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        # unchecked, a 2-class GBDT predicted class 1 for [nan, 0, 0] and [inf, 0, 0]
+        rows = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]] * 5)
+        labels = np.array([0, 1] * 5)
+        for model in (fit_gbdt(rows, labels, GbdtParams(n_estimators=2, **FAST_GBDT)),
+                      fit_random_forest(rows, labels, RfParams(n_trees=2, seed=0))):
+            with pytest.raises(ValidationError, match="non-finite"):
+                predict_batch(model, [[0.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(4)
         raw = rng.normal(size=(30, 3))

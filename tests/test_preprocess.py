@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ecgbeats.errors import ValidationError
-from ecgbeats.preprocess import (BEAT_LEN, bandpass_filter, normalize_beat,
-                                 normalize_beats, preprocess_record, resample,
-                                 resample_record, segment_beats)
-from ecgbeats.record_io import EcgRecord
+from ecgbeats.preprocess import (BEAT_LEN, bandpass_filter, normalize_beats,
+                                 preprocess_record, resample, resample_record,
+                                 segment_beats)
+from ecgbeats.record_io import Beats, EcgRecord
 from tests.helpers import analytic_bandpass_db
 
 FS = 180.0
@@ -109,17 +109,16 @@ class TestSegmentBeats:
     def test_three_peak_example(self):
         beats, dropped = segment_beats(_record(100, [10, 50, 90]))
         assert len(beats) == 1 and dropped == 2
-        beat = beats[0]
-        assert beat.rpeak_index == 50
-        assert np.array_equal(beat.samples, np.arange(15.0, 85.0))
-        assert beat.rr_prev == pytest.approx(40.0 / FS)
-        assert beat.rr_next == pytest.approx(40.0 / FS)
+        assert beats.rpeak[0] == 50
+        assert np.array_equal(beats.samples[0], np.arange(15.0, 85.0))
+        assert beats.rr_prev[0] == pytest.approx(40.0 / FS)
+        assert beats.rr_next[0] == pytest.approx(40.0 / FS)
 
     def test_empty_rpeaks(self):
         record = EcgRecord(leads=[np.zeros(100)], fs=FS,
                            rpeaks=np.array([], dtype=int), labels=[])
         beats, dropped = segment_beats(record)
-        assert beats == [] and dropped == 0
+        assert len(beats) == 0 and dropped == 0
 
     def test_against_brute_force_enumeration(self):
         # oracle: a beat survives iff it has both neighbors and the window
@@ -133,21 +132,29 @@ class TestSegmentBeats:
             beats, dropped = segment_beats(record)
             expected = [r for i, r in enumerate(rpeaks)
                         if 0 < i < len(rpeaks) - 1 and r - 35 >= 0 and r + 35 <= n]
-            assert [b.rpeak_index for b in beats] == expected
+            assert beats.rpeak.tolist() == expected
             assert len(beats) + dropped == len(rpeaks)
 
     def test_window_edge_cases_length_71(self):
         # r=35 fits the window exactly in a 71-sample record, but peaks also
         # need flanking context
         beats, _ = segment_beats(_record(71, [35]))
-        assert beats == []
+        assert len(beats) == 0
         beats, _ = segment_beats(_record(71, [0, 35, 70]))
-        assert [b.rpeak_index for b in beats] == [35]
+        assert beats.rpeak.tolist() == [35]
 
     def test_labels_mapped_to_class_ids(self):
         beats, _ = segment_beats(_record(300, [50, 120, 190, 260],
                                          labels=["N", "V", "S", "N"]))
-        assert [b.label for b in beats] == [2, 1]
+        assert beats.label.tolist() == [2, 1]
+
+
+def normalize_beat(samples):
+    """normalize_beats on a 1-row batch holding ``samples``."""
+    beats = Beats(samples=np.reshape(samples, (1, -1)), rpeak=np.zeros(1, dtype=int),
+                  label=np.zeros(1, dtype=int), rr_prev=np.ones(1), rr_next=np.ones(1),
+                  raw_amp=np.zeros(1))
+    return normalize_beats(beats).samples[0]
 
 
 class TestNormalize:
@@ -194,8 +201,7 @@ class TestRecordPipeline:
         beats, dropped = segment_beats(processed)
         beats = normalize_beats(beats)
         assert len(beats) + dropped == len(processed.rpeaks)
-        for b in beats:
-            assert b.samples.shape[0] == BEAT_LEN
-            assert np.max(np.abs(b.samples)) <= 1.0
-            assert b.rr_prev > 0 and b.rr_next > 0
-            assert np.isfinite(b.samples).all()
+        assert beats.samples.shape == (len(beats), BEAT_LEN)
+        assert np.max(np.abs(beats.samples)) <= 1.0
+        assert np.all(beats.rr_prev > 0) and np.all(beats.rr_next > 0)
+        assert np.isfinite(beats.samples).all()
