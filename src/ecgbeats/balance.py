@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, int_at_least, is_int, validate
 
 DEFAULT_TARGETS = {0: 300_000, 1: 100_000, 2: 100_000}  # N, S, V
 
@@ -24,10 +24,13 @@ class BalancePlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ValidationError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if any(t <= 0 for t in self.targets.values()):
-            raise ValidationError("balance targets must be positive")
+        validate([
+            (isinstance(self.targets, dict) and all(
+                is_int(c) and c >= 0 and is_int(n) and n >= 1 for c, n in self.targets.items()),
+             f"targets must map class ids >= 0 to counts >= 1, got {self.targets!r}"),
+            int_at_least("k_neighbors", self.k_neighbors, 1),
+            int_at_least("seed", self.seed, 0),
+        ])
 
 
 def undersample(rows, labels, targets: dict, seed: int):

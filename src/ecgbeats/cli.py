@@ -1,11 +1,13 @@
-"""Command-line pipeline: synth -> ingest/preprocess -> featurize -> balance /
+"""Command-line pipeline: synth -> preprocess -> featurize -> balance /
 encode -> train -> evaluate -> report, plus gridsearch.
 
 Every stage is file-to-file, independently runnable, and deterministic given
 its seed, so reruns are byte-identical. Each primary output gets a
 ``<name>.manifest.json`` sidecar recording the resolved parameters and their
 hash. Defaults may come from a JSON config file (``--config``) whose
-top-level keys are stage names; explicit flags win.
+top-level keys are stage names; explicit flags win, and config values are
+taken as the JSON values they are. The params objects the stages build check
+the parameters before any input is read.
 
 Exit codes: 0 ok, 1 invalid configuration, 2 missing or malformed data.
 """
@@ -28,14 +30,15 @@ from . import preprocess as preprocess_mod
 from . import record_io
 from . import synth as synth_mod
 from .encode import MtfConfig, encode_beat
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, is_real, real_above, validate
 from .model import (GbdtParams, RfParams, fit_gbdt, fit_random_forest,
                     grid_search, load_model, predict_batch, save_model)
 from .model.search import stratified_split
 from .record_io import LabelSet, read_beats_csv, write_beats_csv
 
-STAGES = ("synth", "ingest", "preprocess", "featurize", "balance", "encode",
-          "train", "evaluate", "gridsearch", "report")
+# default of a flag set by the config; main() swaps in the JSON value, which
+# argparse would re-parse if it were a string default
+_FROM_CONFIG = object()
 
 
 # ---------------------------------------------------------------------------
@@ -48,12 +51,12 @@ def _require_inputs(*paths) -> None:
         raise DataError("missing stage input(s): " + ", ".join(missing))
 
 
-def _validate(checks) -> None:
-    """checks: iterable of (ok, message); report every failure at once."""
-    problems = [msg for ok, msg in checks if not ok]
-    if problems:
-        raise ValidationError(
-            "invalid configuration:\n  - " + "\n  - ".join(problems))
+def _read_json(path, error=ValidationError):
+    try:
+        with open(path, "rb") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None
 
 
 def _manifest_params(args) -> dict:
@@ -80,11 +83,15 @@ def _write_manifest(target, stage: str, args, inputs=()) -> None:
 
 
 def _label_set(args) -> LabelSet:
+    if not isinstance(args.labels, str):
+        raise ValidationError(f"labels must be a string SYMBOL,..., got {args.labels!r}")
     return LabelSet(tuple(s.strip() for s in args.labels.split(",")))
 
 
 def _parse_targets(spec: str, label_set: LabelSet) -> dict:
     """'N=300000,S=100000,V=100000' -> {class_id: count}."""
+    if not isinstance(spec, str):
+        raise ValidationError(f"targets must be a string SYMBOL=COUNT,..., got {spec!r}")
     targets = {}
     for item in spec.split(","):
         name, _, count = item.partition("=")
@@ -94,7 +101,10 @@ def _parse_targets(spec: str, label_set: LabelSet) -> dict:
             raise ValidationError(f"bad target {item!r}; expected SYMBOL=COUNT") from None
         if value <= 0:
             raise ValidationError(f"bad target {item!r}; the count must be positive")
-        targets[label_set.id_of(name.strip())] = value
+        class_id = label_set.id_of(name.strip())
+        if class_id in targets:
+            raise ValidationError(f"bad target {item!r}; {name.strip()} is named twice")
+        targets[class_id] = value
     return targets
 
 
@@ -103,11 +113,6 @@ def _parse_targets(spec: str, label_set: LabelSet) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    _validate([
-        (args.n_beats >= 1, f"--n-beats must be >= 1, got {args.n_beats}"),
-        (args.noise_std >= 0, f"--noise-std must be >= 0, got {args.noise_std}"),
-        (args.fs > 0, f"--fs must be positive, got {args.fs}"),
-    ])
     cfg = synth_mod.SynthConfig(n_beats=args.n_beats, fs=args.fs,
                                 noise_std=args.noise_std, seed=args.seed)
     record = synth_mod.generate(cfg)
@@ -120,37 +125,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_record(args, label_set):
-    _require_inputs(args.signal, args.annotations)
-    return record_io.load_record(args.signal, args.annotations, fs=args.fs,
-                                 lead_select=args.lead, label_set=label_set,
-                                 strict=args.strict)
-
-
-def cmd_ingest(args) -> int:
-    _validate([(args.fs > 0, f"--fs must be positive, got {args.fs}")])
-    label_set = _label_set(args)
-    record, skipped = _load_record(args, label_set)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    record_io.write_signal_csv(out / "signal.csv", record.leads[0])
-    record_io.write_annotations_csv(out / "annotations.csv", record.rpeaks, record.labels)
-    _write_manifest(out / "signal.csv", "ingest", args,
-                    inputs=[args.signal, args.annotations])
-    print(f"ingest: {len(record.rpeaks)} beats kept, {skipped} unknown labels skipped")
-    return 0
-
-
 def cmd_preprocess(args) -> int:
-    _validate([
-        (args.fs > 0, f"--fs must be positive, got {args.fs}"),
-        (args.target_fs > 0, f"--target-fs must be positive, got {args.target_fs}"),
-        (0 < args.low_hz < args.high_hz < args.target_fs / 2,
-         f"band ({args.low_hz}, {args.high_hz}) must satisfy "
-         f"0 < low < high < target_fs/2 = {args.target_fs / 2}"),
+    fs, low, high = args.target_fs, args.low_hz, args.high_hz
+    validate([
+        real_above("fs", args.fs, 0),
+        real_above("target_fs", fs, 0),
+        (is_real(fs) and is_real(low) and is_real(high) and 0 < low < high < fs / 2,
+         f"band low_hz={low!r}, high_hz={high!r} must satisfy 0 < low_hz < high_hz < target_fs/2"),
     ])
     label_set = _label_set(args)
-    record, skipped = _load_record(args, label_set)
+    _require_inputs(args.signal, args.annotations)
+    record, skipped = record_io.load_record(args.signal, args.annotations, fs=args.fs,
+                                            lead_select=args.lead, label_set=label_set,
+                                            strict=args.strict)
     processed = preprocess_mod.preprocess_record(record, to_hz=args.target_fs,
                                                  low=args.low_hz, high=args.high_hz)
     beats, dropped = preprocess_mod.segment_beats(processed, label_set)
@@ -176,16 +163,14 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    _validate([
-        (args.test_fraction is None or 0 < args.test_fraction < 1,
-         f"--test-fraction must be in (0, 1), got {args.test_fraction}"),
-    ])
     meta_path = args.meta or Path(args.beats).parent / "record_meta.json"
     _require_inputs(args.beats, meta_path)
     beats = read_beats_csv(args.beats)
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    hrv = (meta["hrv_mean"], meta["hrv_median"], meta["hrv_var"])
+    meta = _read_json(meta_path, DataError)
+    keys = ("hrv_mean", "hrv_median", "hrv_var")
+    if not (isinstance(meta, dict) and all(is_real(meta.get(k)) for k in keys)):
+        raise DataError(f"{meta_path}: expected finite numbers {', '.join(keys)}")
+    hrv = tuple(meta[k] for k in keys)
     rows, labels = features_mod.beat_features(beats, hrv), beats.label
 
     out = Path(args.out)
@@ -209,15 +194,12 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_balance(args) -> int:
-    _validate([(args.k_neighbors >= 1,
-                f"--k-neighbors must be >= 1, got {args.k_neighbors}")])
     label_set = _label_set(args)
-    targets = _parse_targets(args.targets, label_set)
+    plan = balance_mod.BalancePlan(targets=_parse_targets(args.targets, label_set),
+                                   k_neighbors=args.k_neighbors, seed=args.seed)
     _require_inputs(args.features)
     rows, labels = record_io.load_feature_matrix(args.features)
     metrics_mod.check_labels(labels, len(label_set))
-    plan = balance_mod.BalancePlan(targets=targets, k_neighbors=args.k_neighbors,
-                                   seed=args.seed)
     rows, labels = balance_mod.apply_plan(rows, labels, plan)
     record_io.save_feature_matrix(rows, labels, args.out)
     _write_manifest(args.out, "balance", args, inputs=[args.features])
@@ -228,10 +210,9 @@ def cmd_balance(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    _validate([(args.mtf_bins >= 2, f"--mtf-bins must be >= 2, got {args.mtf_bins}")])
+    cfg = MtfConfig(n_bins=args.mtf_bins)
     _require_inputs(args.beats)
     beats = read_beats_csv(args.beats)
-    cfg = MtfConfig(n_bins=args.mtf_bins)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     index_rows = []
@@ -248,40 +229,21 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _gbdt_params(args) -> GbdtParams:
-    return GbdtParams(learning_rate=args.learning_rate, max_depth=args.max_depth,
-                      n_estimators=args.n_estimators,
-                      min_data_in_leaf=args.min_data_in_leaf,
-                      l1_alpha=args.l1_alpha, l2_lambda=args.l2_lambda)
-
-
-def _rf_params(args) -> RfParams:
-    return RfParams(n_trees=args.n_trees, max_depth=args.rf_max_depth,
-                    min_samples_leaf=args.min_samples_leaf,
-                    features_per_split=args.features_per_split, seed=args.seed)
-
-
 def cmd_train(args) -> int:
-    _validate([
-        (args.learning_rate > 0, f"--learning-rate must be > 0, got {args.learning_rate}"),
-        (args.max_depth >= 1, f"--max-depth must be >= 1, got {args.max_depth}"),
-        (args.n_estimators >= 0, f"--n-estimators must be >= 0, got {args.n_estimators}"),
-        (args.min_data_in_leaf >= 1,
-         f"--min-data-in-leaf must be >= 1, got {args.min_data_in_leaf}"),
-        (args.l1_alpha >= 0, f"--l1-alpha must be >= 0, got {args.l1_alpha}"),
-        (args.l2_lambda >= 0, f"--l2-lambda must be >= 0, got {args.l2_lambda}"),
-        (args.n_trees >= 1, f"--n-trees must be >= 1, got {args.n_trees}"),
-        (args.min_samples_leaf >= 1,
-         f"--min-samples-leaf must be >= 1, got {args.min_samples_leaf}"),
-    ])
-    _require_inputs(args.features)
-    label_set = _label_set(args)
-    rows, labels = record_io.load_feature_matrix(args.features)
     if args.model == "gbdt":
-        model = fit_gbdt(rows, labels, _gbdt_params(args), n_classes=len(label_set))
+        fit, params = fit_gbdt, GbdtParams(
+            learning_rate=args.learning_rate, max_depth=args.max_depth,
+            n_estimators=args.n_estimators, min_data_in_leaf=args.min_data_in_leaf,
+            l1_alpha=args.l1_alpha, l2_lambda=args.l2_lambda)
     else:
-        model = fit_random_forest(rows, labels, _rf_params(args),
-                                  n_classes=len(label_set))
+        fit, params = fit_random_forest, RfParams(
+            n_trees=args.n_trees, max_depth=args.rf_max_depth,
+            min_samples_leaf=args.min_samples_leaf,
+            features_per_split=args.features_per_split, seed=args.seed)
+    label_set = _label_set(args)
+    _require_inputs(args.features)
+    rows, labels = record_io.load_feature_matrix(args.features)
+    model = fit(rows, labels, params, n_classes=len(label_set))
     save_model(model, args.out)
     _write_manifest(args.out, "train", args, inputs=[args.features])
     print(f"train: fitted {args.model} on {len(labels)} rows "
@@ -311,27 +273,22 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    _validate([
-        (args.folds >= 2, f"--folds must be >= 2, got {args.folds}"),
-        (args.k_neighbors >= 1, f"--k-neighbors must be >= 1, got {args.k_neighbors}"),
-    ])
     plan = None
-    if args.targets:
+    if args.targets is not None:
         label_set = _label_set(args)
         plan = balance_mod.BalancePlan(targets=_parse_targets(args.targets, label_set),
                                        k_neighbors=args.k_neighbors, seed=args.seed)
     _require_inputs(args.features, args.grid)
-    rows, labels = record_io.load_feature_matrix(args.features)
-    with open(args.grid) as fh:
-        raw_grid = json.load(fh)
+    raw_grid = _read_json(args.grid)
     if not isinstance(raw_grid, list) or not raw_grid:
         raise ValidationError(f"{args.grid}: expected a non-empty JSON list of parameter objects")
     param_cls = GbdtParams if args.model == "gbdt" else RfParams
     seed = {"seed": args.seed} if args.model == "rf" else {}
     try:
         candidates = [param_cls(**{**combo, **seed}) for combo in raw_grid]
-    except TypeError as exc:
+    except (TypeError, ValidationError) as exc:
         raise ValidationError(f"{args.grid}: {exc}") from None
+    rows, labels = record_io.load_feature_matrix(args.features)
 
     best, results = grid_search(rows, labels, candidates, folds=args.folds,
                                 seed=args.seed, balance_plan=plan)
@@ -373,17 +330,6 @@ def cmd_report(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_record_flags(p):
-    p.add_argument("--signal", required=True, help="signal CSV (no header)")
-    p.add_argument("--annotations", required=True,
-                   help="annotation CSV (sample_index,label)")
-    p.add_argument("--fs", type=float, default=250.0, help="input sampling rate, Hz")
-    p.add_argument("--lead", type=int, default=0, help="lead column to use")
-    p.add_argument("--labels", default="N,S,V", help="admitted label symbols, ordered")
-    p.add_argument("--strict", action="store_true",
-                   help="reject unknown labels instead of skipping")
-
-
 def build_parser(config: dict) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecgbeats",
@@ -400,13 +346,15 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="validate and normalize a raw record")
-    _add_record_flags(p)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_ingest)
-
     p = sub.add_parser("preprocess", help="resample, filter, segment, normalize")
-    _add_record_flags(p)
+    p.add_argument("--signal", required=True, help="signal CSV (no header)")
+    p.add_argument("--annotations", required=True,
+                   help="annotation CSV (sample_index,label)")
+    p.add_argument("--fs", type=float, default=250.0, help="input sampling rate, Hz")
+    p.add_argument("--lead", type=int, default=0, help="lead column to use")
+    p.add_argument("--labels", default="N,S,V", help="admitted label symbols, ordered")
+    p.add_argument("--strict", action="store_true",
+                   help="reject unknown labels instead of skipping")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--target-fs", type=float, default=preprocess_mod.TARGET_FS)
     p.add_argument("--low-hz", type=float, default=preprocess_mod.BAND_LOW_HZ)
@@ -480,14 +428,18 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
 
-    for name, sp in sub.choices.items():
-        if name in config:
-            known = {a.dest for a in sp._actions}
-            unknown = set(config[name]) - known
-            if unknown:
-                raise ValidationError(
-                    f"config section '{name}' has unknown keys: {sorted(unknown)}")
-            sp.set_defaults(**config[name])
+    unknown = set(config) - set(sub.choices)
+    if unknown:
+        raise ValidationError(f"config names unknown stages {sorted(unknown)}")
+    for name, section in config.items():
+        if not isinstance(section, dict):
+            raise ValidationError(f"config section '{name}' must be a JSON object")
+        sp = sub.choices[name]
+        unknown = set(section) - {a.dest for a in sp._actions}
+        if unknown:
+            raise ValidationError(
+                f"config section '{name}' has unknown keys: {sorted(unknown)}")
+        sp.set_defaults(**dict.fromkeys(section, _FROM_CONFIG))
     return parser
 
 
@@ -498,13 +450,9 @@ def _load_config(argv) -> dict:
     if ns.config is None:
         return {}
     _require_inputs(ns.config)
-    with open(ns.config) as fh:
-        config = json.load(fh)
+    config = _read_json(ns.config)
     if not isinstance(config, dict):
         raise ValidationError(f"{ns.config}: config must be a JSON object")
-    unknown = set(config) - set(STAGES)
-    if unknown:
-        raise ValidationError(f"{ns.config}: unknown stages {sorted(unknown)}")
     return config
 
 
@@ -513,6 +461,9 @@ def main(argv=None) -> int:
     try:
         config = _load_config(argv)
         args = build_parser(config).parse_args(argv)
+        for key, value in config.get(args.stage, {}).items():
+            if getattr(args, key) is _FROM_CONFIG:
+                setattr(args, key, value)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, int_at_least, validate
 
 IMAGE_SIZE = 32
 
@@ -28,8 +28,7 @@ class MtfConfig:
     n_bins: int = 8
 
     def __post_init__(self):
-        if self.n_bins < 2:
-            raise ValidationError(f"n_bins must be >= 2, got {self.n_bins}")
+        validate([int_at_least("n_bins", self.n_bins, 2)])
 
 
 @dataclass

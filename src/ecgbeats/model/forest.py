@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import int_at_least, validate
 from .ensemble import EnsembleModel, check_training_data
 from .tree import Tree, TreeBuilder
 
@@ -26,12 +26,13 @@ class RfParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValidationError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.min_samples_leaf < 1:
-            raise ValidationError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValidationError(f"max_depth must be >= 1, got {self.max_depth}")
+        validate([
+            int_at_least("n_trees", self.n_trees, 1),
+            int_at_least("max_depth", self.max_depth, 1, optional=True),
+            int_at_least("min_samples_leaf", self.min_samples_leaf, 1),
+            int_at_least("features_per_split", self.features_per_split, 1, optional=True),
+            int_at_least("seed", self.seed, 0),
+        ])
 
 
 def _best_gini_split(x_node, y_node, n_classes, min_leaf, feats):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import int_at_least, real_above, real_at_least, validate
 from .ensemble import EnsembleModel, check_training_data, softmax
 from .tree import Tree, TreeBuilder
 
@@ -45,16 +45,14 @@ class GbdtParams:
     l2_lambda: float = 0.7327
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.max_depth < 1:
-            raise ValidationError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_data_in_leaf < 1:
-            raise ValidationError(f"min_data_in_leaf must be >= 1, got {self.min_data_in_leaf}")
-        if self.n_estimators < 0:
-            raise ValidationError(f"n_estimators must be >= 0, got {self.n_estimators}")
-        if self.l1_alpha < 0 or self.l2_lambda < 0:
-            raise ValidationError("regularization strengths must be >= 0")
+        validate([
+            real_above("learning_rate", self.learning_rate, 0),
+            int_at_least("max_depth", self.max_depth, 1),
+            int_at_least("n_estimators", self.n_estimators, 0),
+            int_at_least("min_data_in_leaf", self.min_data_in_leaf, 1),
+            real_at_least("l1_alpha", self.l1_alpha, 0),
+            real_at_least("l2_lambda", self.l2_lambda, 0),
+        ])
 
 
 def _gain_term(g_sum: np.ndarray, den: np.ndarray) -> np.ndarray:

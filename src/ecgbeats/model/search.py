@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..balance import BalancePlan, apply_plan
-from ..errors import ValidationError
+from ..errors import ValidationError, int_at_least, is_real, validate
 from ..metrics import confusion_matrix, macro_metrics
 from .ensemble import predict_batch
 from .forest import RfParams, fit_random_forest
@@ -23,8 +23,7 @@ from .gbdt import GbdtParams, fit_gbdt
 def stratified_kfold(labels, folds: int, seed: int = 0) -> list:
     """Index arrays for each fold, class-stratified within one sample."""
     y = np.asarray(labels, dtype=int)
-    if folds < 2:
-        raise ValidationError(f"need at least 2 folds, got {folds}")
+    validate([int_at_least("folds", folds, 2), int_at_least("seed", seed, 0)])
     rng = np.random.default_rng(seed)
     assignments = [[] for _ in range(folds)]
     for cls in np.unique(y):
@@ -46,8 +45,11 @@ def stratified_split(labels, test_fraction: float, seed: int = 0):
     side, so class proportions carry over. Must run before any balancing.
     """
     y = np.asarray(labels, dtype=int)
-    if not 0 < test_fraction < 1:
-        raise ValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    validate([
+        (is_real(test_fraction) and 0 < test_fraction < 1,
+         f"test_fraction must be in (0, 1), got {test_fraction!r}"),
+        int_at_least("seed", seed, 0),
+    ])
     rng = np.random.default_rng(seed)
     train, test = [], []
     for cls in np.unique(y):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encode import BeatImage
-from .errors import DataError, ParseError, ValidationError
+from .errors import DataError, ParseError, ValidationError, is_int
 
 FLOAT_FMT = "%.9g"  # 9 significant digits everywhere we write decimals
 ROW_CHUNK = 128     # rows formatted per call by write_numeric_csv
@@ -260,6 +260,8 @@ def read_annotations_csv(path) -> list:
             idx = int(row[0])
         except ValueError:
             raise ParseError(path, line_no, f"non-integer sample index {row[0]!r}")
+        if not -2**63 <= idx < 2**63:
+            raise ParseError(path, line_no, f"sample index {row[0]!r} outside int64")
         out.append((idx, row[1].strip()))
     return out
 
@@ -302,9 +304,9 @@ def load_record(signal_path, annotation_path, fs: float, lead_select: int | None
     if lead_select is None:
         leads = [samples[:, i] for i in range(samples.shape[1])]
     else:
-        if not 0 <= lead_select < samples.shape[1]:
+        if not (is_int(lead_select) and 0 <= lead_select < samples.shape[1]):
             raise ValidationError(
-                f"lead {lead_select} not available ({samples.shape[1]} leads)"
+                f"lead {lead_select!r} not available ({samples.shape[1]} leads)"
             )
         leads = [samples[:, lead_select]]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import int_at_least, real_above, real_at_least, validate
 from .record_io import EcgRecord
 
 # (offset s, amplitude mV, width s) per Gaussian component
@@ -45,12 +45,14 @@ class SynthConfig:
     rr_jitter: float = 0.02     # fractional std of every RR draw
 
     def __post_init__(self):
-        if self.n_beats < 1:
-            raise ValidationError(f"n_beats must be >= 1, got {self.n_beats}")
-        if self.noise_std < 0:
-            raise ValidationError(f"noise_std must be >= 0, got {self.noise_std}")
-        if self.fs <= 0 or self.base_rr <= 0:
-            raise ValidationError("fs and base_rr must be positive")
+        validate([
+            int_at_least("n_beats", self.n_beats, 1),
+            real_above("fs", self.fs, 0),
+            real_at_least("noise_std", self.noise_std, 0),
+            int_at_least("seed", self.seed, 0),
+            real_above("base_rr", self.base_rr, 0),
+            real_at_least("rr_jitter", self.rr_jitter, 0),
+        ])
 
 
 def generate(cfg: SynthConfig) -> EcgRecord:

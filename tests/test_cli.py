@@ -138,8 +138,8 @@ class TestErrors:
                    "--min-data-in-leaf", "0")
         assert code == 1
         err = capsys.readouterr().err
-        for flag in ("--learning-rate", "--max-depth", "--min-data-in-leaf"):
-            assert flag in err
+        for field in ("learning_rate", "max_depth", "min_data_in_leaf"):
+            assert field in err
 
     @pytest.mark.parametrize("targets", ["N=abc,S=5,V=5", "N=-5,S=5,V=5", "N=0,S=5,V=5"])
     def test_bad_targets_are_validation_errors(self, tmp_path, capsys, targets):
@@ -218,6 +218,48 @@ class TestErrors:
         assert code == 1
         assert "labels outside 0..2" in capsys.readouterr().err
 
+    def test_annotation_index_outside_int64_is_data_error(self, tmp_path, capsys):
+        d = tmp_path / "raw"
+        assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
+        (d / "annotations.csv").write_text(
+            "sample_index,label\n99999999999999999999999,N\n")
+        code = run("preprocess", "--signal", d / "signal.csv",
+                   "--annotations", d / "annotations.csv", "--fs", 250,
+                   "--out-dir", tmp_path / "pre")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "annotations.csv:2: sample index '99999999999999999999999' outside int64" in err
+        assert not (tmp_path / "pre").exists()
+
+    def test_duplicate_target_symbol_is_validation_error(self, tmp_path, capsys,
+                                                        pipeline_dir):
+        code = run("balance", "--features", pipeline_dir / "features_train.csv",
+                   "--out", tmp_path / "b.csv", "--targets", "N=30,N=40,S=30,V=30")
+        assert code == 1
+        assert "bad target 'N=40'; N is named twice" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_unparsable_grid_is_validation_error(self, tmp_path, capsys, pipeline_dir):
+        grid = tmp_path / "grid.json"
+        grid.write_text('[{"n_estimators": 2,]')
+        code = run("gridsearch", "--features", pipeline_dir / "features_train.csv",
+                   "--grid", grid, "--out-dir", tmp_path / "gs")
+        assert code == 1
+        assert "grid.json: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta", ['{"hrv_mean": 0.8', "[1, 2, 3]",
+                                      '{"hrv_mean": 0.8, "hrv_median": 0.8}',
+                                      '{"hrv_mean": 0.8, "hrv_median": 0.8, "hrv_var": NaN}',
+                                      '{"hrv_mean": "0.8", "hrv_median": 0.8, "hrv_var": 0}'])
+    def test_bad_record_meta_is_data_error(self, tmp_path, capsys, pipeline_dir, meta):
+        (tmp_path / "meta.json").write_text(meta)
+        code = run("featurize", "--beats", pipeline_dir / "pre" / "beats.csv",
+                   "--meta", tmp_path / "meta.json", "--out", tmp_path / "f.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "meta.json: " in err and "Traceback" not in err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_band_validation(self, tmp_path):
         d = tmp_path / "raw"
         assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
@@ -232,11 +274,11 @@ class TestErrors:
         assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
         ann = d / "annotations.csv"
         ann.write_text(ann.read_text() + "10,Q\n")
-        assert run("ingest", "--signal", d / "signal.csv", "--annotations", ann,
+        assert run("preprocess", "--signal", d / "signal.csv", "--annotations", ann,
                    "--fs", 250, "--out-dir", tmp_path / "clean",
                    "--strict") == 1
         # non-strict skips and succeeds
-        assert run("ingest", "--signal", d / "signal.csv", "--annotations", ann,
+        assert run("preprocess", "--signal", d / "signal.csv", "--annotations", ann,
                    "--fs", 250, "--out-dir", tmp_path / "clean") == 0
 
 
@@ -261,6 +303,50 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"not_a_stage": {}}))
         assert run("--config", config, "synth", "--out-dir", tmp_path / "x") == 1
+
+    def test_ingest_is_no_longer_a_stage(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ingest": {"fs": 250.0}}))
+        assert run("--config", config, "synth", "--out-dir", tmp_path / "x") == 1
+        assert "unknown stages ['ingest']" in capsys.readouterr().err
+        assert "ingest" not in cli.build_parser({}).format_usage()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"synth": {"n_beats": 5}', "not valid JSON"),
+        (b'{"synth": {"n_beats": 5}, "x": "\xff"}', "not valid JSON"),
+        ('{"synth": 5}', "config section 'synth' must be a JSON object"),
+        ('{"synth": [1]}', "config section 'synth' must be a JSON object"),
+        ('[{"synth": {}}]', "config must be a JSON object"),
+    ])
+    def test_malformed_config_is_validation_error(self, tmp_path, capsys, text, message):
+        config = tmp_path / "config.json"
+        if isinstance(text, bytes):
+            config.write_bytes(text)
+        else:
+            config.write_text(text)
+        assert run("--config", config, "synth", "--out-dir", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("stage, key", [("balance", "targets"), ("gridsearch", "targets"),
+                                            ("balance", "labels"), ("train", "labels")])
+    def test_non_string_targets_or_labels_from_config(self, tmp_path, capsys, stage, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({stage: {key: 5}}))
+        extra = {"balance": ["--out", tmp_path / "b.csv"],
+                 "train": ["--out", tmp_path / "m.txt"],
+                 "gridsearch": ["--grid", tmp_path / "g.json", "--out-dir", tmp_path / "gs"]}
+        assert run("--config", config, stage, "--features", tmp_path / "f.csv",
+                   *extra[stage]) == 1
+        assert f"{key} must be a string" in capsys.readouterr().err
+
+    def test_config_string_is_not_reparsed(self, tmp_path, capsys):
+        # JSON values reach the stage as they are: "5" is a string, not 5
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"n_beats": "5"}}))
+        assert run("--config", config, "synth", "--out-dir", tmp_path / "x") == 1
+        assert "n_beats must be an integer >= 1, got '5'" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
