@@ -36,9 +36,29 @@ from .model import (GbdtParams, RfParams, fit_gbdt, fit_random_forest,
 from .model.search import stratified_split
 from .record_io import LabelSet, read_beats_csv, write_beats_csv
 
-# default of a flag set by the config; main() swaps in the JSON value, which
-# argparse would re-parse if it were a string default
-_FROM_CONFIG = object()
+
+class _FromConfig:
+    """Default of a flag that the config sets. main() swaps the JSON value in
+    (argparse would re-parse a string default) once it fits the flag: one of
+    its choices, a bool for a switch, a string for a text or path flag, or
+    null where the flag's own default is null. The params objects check
+    numbers."""
+
+    def __init__(self, action: argparse.Action):
+        self.action, self.default = action, action.default
+
+    def check(self, stage: str, value) -> None:
+        action = self.action
+        name = f"config {stage}.{action.dest}"
+        if action.choices is not None and value not in action.choices:
+            raise ValidationError(
+                f"{name} must be one of {', '.join(action.choices)}, got {value!r}")
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValidationError(f"{name} must be true or false, got {value!r}")
+        elif (action.type in (None, str, Path) and not isinstance(value, str)
+              and not (value is None and self.default is None)):
+            raise ValidationError(f"{name} must be a string, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +103,11 @@ def _write_manifest(target, stage: str, args, inputs=()) -> None:
 
 
 def _label_set(args) -> LabelSet:
-    if not isinstance(args.labels, str):
-        raise ValidationError(f"labels must be a string SYMBOL,..., got {args.labels!r}")
     return LabelSet(tuple(s.strip() for s in args.labels.split(",")))
 
 
 def _parse_targets(spec: str, label_set: LabelSet) -> dict:
     """'N=300000,S=100000,V=100000' -> {class_id: count}."""
-    if not isinstance(spec, str):
-        raise ValidationError(f"targets must be a string SYMBOL=COUNT,..., got {spec!r}")
     targets = {}
     for item in spec.split(","):
         name, _, count = item.partition("=")
@@ -140,6 +156,9 @@ def cmd_preprocess(args) -> int:
                                             strict=args.strict)
     processed = preprocess_mod.preprocess_record(record, to_hz=args.target_fs,
                                                  low=args.low_hz, high=args.high_hz)
+    if not np.isfinite(processed.leads[0]).all():
+        raise DataError(f"{args.signal}: the filtered signal is not finite "
+                        "(samples too large to filter)")
     beats, dropped = preprocess_mod.segment_beats(processed, label_set)
     beats = preprocess_mod.normalize_beats(beats)
 
@@ -435,11 +454,12 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         if not isinstance(section, dict):
             raise ValidationError(f"config section '{name}' must be a JSON object")
         sp = sub.choices[name]
-        unknown = set(section) - {a.dest for a in sp._actions}
+        actions = {a.dest: a for a in sp._actions}
+        unknown = set(section) - set(actions)
         if unknown:
             raise ValidationError(
                 f"config section '{name}' has unknown keys: {sorted(unknown)}")
-        sp.set_defaults(**dict.fromkeys(section, _FROM_CONFIG))
+        sp.set_defaults(**{key: _FromConfig(actions[key]) for key in section})
     return parser
 
 
@@ -462,7 +482,9 @@ def main(argv=None) -> int:
         config = _load_config(argv)
         args = build_parser(config).parse_args(argv)
         for key, value in config.get(args.stage, {}).items():
-            if getattr(args, key) is _FROM_CONFIG:
+            flag = getattr(args, key)
+            if isinstance(flag, _FromConfig):
+                flag.check(args.stage, value)
                 setattr(args, key, value)
         return args.func(args)
     except ValidationError as exc:

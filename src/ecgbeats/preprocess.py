@@ -1,5 +1,9 @@
 """Signal conditioning: resample to 180 Hz, 0.5-35 Hz band-pass, fixed-size
 beat segmentation around annotated R-peaks, per-beat min-max normalization.
+
+The band-pass is numpy and plain Python, with no scipy import; its design
+and its forward-backward filtering are bit-equal to scipy.signal's ``butter``
+and ``sosfiltfilt``.
 """
 
 from __future__ import annotations
@@ -37,26 +41,149 @@ def resample(signal, from_hz: float, to_hz: float) -> np.ndarray:
     return np.interp(positions, np.arange(x.shape[0]), x)
 
 
+def bandpass_sos(low: float, high: float, fs: float) -> np.ndarray:
+    """Order-4 Butterworth band-pass as a (4, 6) array of second-order sections.
+
+    Bit-equal to ``scipy.signal.butter(4, [low, high], "bandpass", fs=fs,
+    output="sos")``: it repeats scipy's arithmetic step by step in numpy (band
+    pre-warp, ``lp2bp_zpk``, ``bilinear_zpk``, then ``zpk2sos`` with its
+    "nearest" pairing), so every rounding, tie and ordering falls the same way.
+    """
+    n = FILTER_ORDER
+    wn = np.asarray([low, high], dtype=np.float64) / (float(fs) / 2)
+    if not 0 < wn[0] < wn[1] < 1:
+        raise ValidationError(f"band ({low}, {high}) Hz at fs = {fs} Hz normalizes to "
+                              f"({wn[0]}, {wn[1]}), not an interval inside (0, 1)")
+    warped = 4.0 * np.tan(np.pi * wn / 2.0)    # pre-warped for fs = 2
+    bw, wo = float(warped[1] - warped[0]), float(np.sqrt(warped[0] * warped[1]))
+    # analog low-pass prototype poles, shifted to +-wo at bandwidth bw
+    m = np.arange(-n + 1, n, 2, dtype=np.float64)
+    p_lp = -np.exp(1j * np.pi * m / (2 * n)) * bw / 2
+    root = np.sqrt(p_lp**2 - wo**2)
+    p_bp = np.concatenate((p_lp + root, p_lp - root))
+    # bilinear transform: the n zeros at 0 go to z = 1, the n at infinity to -1
+    poles = np.concatenate(_cplxreal((4.0 + p_bp) / (4.0 - p_bp)))
+    gain = bw**n * np.real(4.0**n / np.prod(4.0 - p_bp))
+    zeros = np.repeat([-1.0, 1.0], n)
+
+    def worst(p):    # the pole nearest the unit circle
+        return np.argmin(np.abs(1 - np.abs(p)))
+
+    sos = np.zeros((n, 6))
+    for si in range(n - 1, -1, -1):    # worst poles in the last sections
+        i = worst(poles)
+        p1, poles = poles[i], np.delete(poles, i)
+        if np.isreal(p1):    # real poles come in pairs: take the next worst
+            reals = np.flatnonzero(np.isreal(poles))
+            i = reals[worst(poles[reals])]
+            p2, poles = poles[i], np.delete(poles, i)
+        else:
+            p2 = p1.conj()
+        pair = []
+        for _ in range(2):    # the zeros nearest p1 (argsort, as scipy: ties fall alike)
+            i = np.argsort(np.abs(zeros - p1))[0]
+            pair.append(zeros[i])
+            zeros = np.delete(zeros, i)
+        sos[si, :3] = _poly(pair)
+        sos[si, 3:] = _poly([p1, p2]).real
+    sos[0, :3] *= gain
+    return sos
+
+
+def _cplxreal(z):
+    """scipy's conjugate-pair split, order included: one root of each complex
+    pair (with positive imaginary part), then the real roots. The poles come
+    in exact conjugate pairs, so the upper root stands for its pair."""
+    tol = 100 * np.finfo(np.float64).eps
+    z = z[np.lexsort((abs(z.imag), z.real))]
+    real = abs(z.imag) <= tol * abs(z)
+    zp = z[~real & (z.imag > 0)]
+    # runs of (nearly) the same real part are ordered by imaginary part
+    same_real = np.diff(zp.real) <= tol * abs(zp[:-1])
+    edges = np.diff(np.concatenate(([0], same_real, [0])))
+    for start, stop in zip(np.flatnonzero(edges > 0), np.flatnonzero(edges < 0) + 1):
+        zp[start:stop] = zp[start:stop][np.lexsort([abs(zp[start:stop].imag)])]
+    return zp, z[real].real
+
+
+def _poly(roots) -> np.ndarray:
+    """Monic polynomial coefficients from roots, convolved as scipy does."""
+    coeffs = np.ones(1, dtype=np.asarray(roots).dtype)
+    for root in roots:
+        coeffs = np.convolve(coeffs, [1, -root])
+    return coeffs
+
+
+def _steady_state(sos) -> np.ndarray:
+    """scipy's ``sosfilt_zi``: each section's state after a unit step has
+    settled, from one 2x2 solve per section; a pole at z = 1 makes it singular."""
+    zi = np.empty((sos.shape[0], 2))
+    scale = 1.0
+    for s, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        companion = np.array([[-a[1], -a[2]], [1.0, 0.0]])
+        zi[s] = scale * np.linalg.solve(np.eye(2) - companion.T, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    return zi
+
+
+def _sosfilt(sos, x: list, zi) -> list:
+    """Run the 4 sections in direct form II transposed over the floats x,
+    starting from state zi. The same IEEE operations in the same order as
+    scipy's compiled ``sosfilt``, so the output is identical to it."""
+    (b00, b01, b02, _, a01, a02), (b10, b11, b12, _, a11, a12), \
+        (b20, b21, b22, _, a21, a22), (b30, b31, b32, _, a31, a32) = sos.tolist()
+    (z00, z01), (z10, z11), (z20, z21), (z30, z31) = zi.tolist()
+    out = []
+    append = out.append
+    for x0 in x:
+        x1 = b00 * x0 + z00
+        z00 = b01 * x0 - a01 * x1 + z01
+        z01 = b02 * x0 - a02 * x1
+        x2 = b10 * x1 + z10
+        z10 = b11 * x1 - a11 * x2 + z11
+        z11 = b12 * x1 - a12 * x2
+        x3 = b20 * x2 + z20
+        z20 = b21 * x2 - a21 * x3 + z21
+        z21 = b22 * x2 - a22 * x3
+        x4 = b30 * x3 + z30
+        z30 = b31 * x3 - a31 * x4 + z31
+        z31 = b32 * x3 - a32 * x4
+        append(x4)
+    return out
+
+
 def bandpass_filter(signal, fs: float, low: float = BAND_LOW_HZ,
                     high: float = BAND_HIGH_HZ) -> np.ndarray:
     """Zero-phase 4th-order Butterworth band-pass.
 
     Applied forward then backward, so the effective magnitude response is the
     squared Butterworth and the net phase is zero. Edges are padded with 1 s
-    of mirrored signal to suppress startup transients.
+    of mirrored signal (even extension), and each pass starts in the steady
+    state of its first sample, to suppress startup transients. numpy only:
+    the output is bit-equal to ``scipy.signal.sosfiltfilt(bandpass_sos(...),
+    x, padtype="even", padlen=min(round(fs), len(x) - 1))``. The two passes
+    are a Python loop over the samples, so their cost grows with the record
+    (the README gives it).
     """
     x = np.asarray(signal, dtype=float)
+    if x.ndim != 1 or x.shape[0] == 0:
+        raise ValidationError(f"need a non-empty 1-D signal to filter, got shape {x.shape}")
     if not 0 < low < high < fs / 2:
         raise ValidationError(
             f"band ({low}, {high}) Hz must satisfy 0 < low < high < fs/2 = {fs / 2}"
         )
-    # imported here, not at module level: scipy.signal takes about a second
-    # to import, and only this stage needs it
-    from scipy.signal import butter, sosfiltfilt
-
-    sos = butter(FILTER_ORDER, [low, high], btype="bandpass", fs=fs, output="sos")
-    padlen = min(int(round(fs)), x.shape[0] - 1)
-    return sosfiltfilt(sos, x, padtype="even", padlen=padlen)
+    sos = bandpass_sos(low, high, fs)
+    try:
+        zi = _steady_state(sos)
+    except np.linalg.LinAlgError:
+        raise ValidationError(
+            f"band ({low}, {high}) Hz is too close to 0 or to fs/2 = {fs / 2} Hz: "
+            "the filter has a pole at z = 1") from None
+    edge = min(int(round(fs)), x.shape[0] - 1)
+    ext = np.concatenate((x[edge:0:-1], x, x[-2:-edge - 2:-1]))
+    forward = _sosfilt(sos, ext.tolist(), zi * ext[0])
+    backward = _sosfilt(sos, forward[::-1], zi * forward[-1])
+    return np.array(backward[::-1][edge:edge + x.shape[0]])
 
 
 def resample_record(record: EcgRecord, to_hz: float = TARGET_FS) -> EcgRecord:

@@ -269,6 +269,22 @@ class TestErrors:
                    "--low-hz", "50", "--high-hz", "35")
         assert code == 1
 
+    def test_signal_too_large_to_filter_is_data_error(self, tmp_path, capsys):
+        # 1.7e308 passes the reader (it is finite) but overflows in the filter
+        d = tmp_path / "raw"
+        assert run("synth", "--out-dir", d, "--n-beats", 30) == 0
+        lines = (d / "signal.csv").read_text().splitlines()
+        lines[1000:1200] = ["1.7e308"] * 200
+        (d / "signal.csv").write_text("\n".join(lines) + "\n")
+        code = run("preprocess", "--signal", d / "signal.csv",
+                   "--annotations", d / "annotations.csv", "--fs", 250,
+                   "--out-dir", tmp_path / "pre")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "signal.csv: the filtered signal is not finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "pre").exists()
+
     def test_strict_unknown_label(self, tmp_path):
         d = tmp_path / "raw"
         assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
@@ -341,6 +357,48 @@ class TestConfigFile:
                    *extra[stage]) == 1
         assert f"{key} must be a string" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["train", "gridsearch"])
+    def test_config_model_outside_choices(self, tmp_path, capsys, stage):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({stage: {"model": "xgb"}}))
+        extra = {"train": ["--out", tmp_path / "m.txt"],
+                 "gridsearch": ["--grid", tmp_path / "g.json", "--out-dir", tmp_path / "gs"]}
+        assert run("--config", config, stage, "--features", tmp_path / "f.csv",
+                   *extra[stage]) == 1
+        err = capsys.readouterr().err
+        assert f"config {stage}.model must be one of gbdt, rf, got 'xgb'" in err
+        assert not list(tmp_path.glob("m.txt*")) and not (tmp_path / "gs").exists()
+
+    @pytest.mark.parametrize("stage, section, argv", [
+        ("featurize", {"meta": 5}, ["--beats", "pre/beats.csv", "--out", "f.csv"]),
+        ("featurize", {"meta": ["x"]}, ["--beats", "pre/beats.csv", "--out", "f.csv"]),
+        ("evaluate", {"name": 5}, ["--model-file", "m.txt", "--features", "f.csv",
+                                   "--out-dir", "eval"]),
+        ("report", {"out": 5}, ["--metrics", "metrics.csv"]),
+        ("preprocess", {"labels": None}, ["--signal", "s.csv", "--annotations", "a.csv",
+                                          "--out-dir", "pre"]),
+        ("preprocess", {"strict": 1}, ["--signal", "s.csv", "--annotations", "a.csv",
+                                       "--out-dir", "pre"]),
+    ])
+    def test_config_value_of_the_wrong_kind(self, tmp_path, capsys, monkeypatch,
+                                            stage, section, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps({stage: section}))
+        assert run("--config", "config.json", stage, *argv) == 1
+        err = capsys.readouterr().err
+        (key, value), = section.items()
+        kind = "true or false" if key == "strict" else "a string"
+        assert f"config {stage}.{key} must be {kind}, got {value!r}" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_config_null_where_the_flag_defaults_to_null(self, tmp_path, pipeline_dir):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"featurize": {"meta": None}}))
+        assert run("--config", config, "featurize",
+                   "--beats", pipeline_dir / "pre" / "beats.csv",
+                   "--out", tmp_path / "f.csv") == 0
+
     def test_config_string_is_not_reparsed(self, tmp_path, capsys):
         # JSON values reach the stage as they are: "5" is a string, not 5
         config = tmp_path / "config.json"
@@ -350,7 +408,7 @@ class TestConfigFile:
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # only the band-pass filter needs scipy.signal, which takes ~1 s to import
+    # scipy.signal takes about a second to import; no stage needs it
     code = "import sys, ecgbeats.cli; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)

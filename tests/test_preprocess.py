@@ -88,6 +88,10 @@ class TestBandpass:
         with pytest.raises(ValidationError):
             bandpass_filter(np.zeros(100), fs=60.0, low=0.5, high=35.0)
 
+    def test_empty_signal_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            bandpass_filter(np.zeros(0), FS)
+
     def test_length_preserved(self):
         assert bandpass_filter(np.zeros(777), FS).shape[0] == 777
 
