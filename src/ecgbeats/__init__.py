@@ -7,13 +7,13 @@ external image classifiers.
 """
 
 from .balance import BalancePlan, apply_plan, smote, undersample
-from .encode import BeatImage, MtfConfig, encode_beat, gasf, mtf, paa, recurrence
+from .encode import MtfConfig, encode_beat, gasf, mtf, paa, recurrence
 from .errors import DataError, ParseError, ValidationError
 from .features import beat_features, build_feature_matrix, hrv_stats, rr_intervals
 from .metrics import confusion_matrix, macro_metrics
 from .model import (EnsembleModel, GbdtParams, RfParams, fit_gbdt,
-                    fit_random_forest, grid_search, load_model, predict,
-                    predict_batch, save_model)
+                    fit_random_forest, grid_search, load_model, predict_batch,
+                    save_model)
 from .preprocess import (bandpass_filter, normalize_beats, preprocess_record, resample,
                          segment_beats)
 from .record_io import (Beats, EcgRecord, LabelSet, export_image, load_feature_matrix,

@@ -36,6 +36,16 @@ from .model import (GbdtParams, RfParams, fit_gbdt, fit_random_forest,
 from .model.search import stratified_split
 from .record_io import LabelSet, read_beats_csv, write_beats_csv
 
+ENCODE_CHUNK = 256  # beats encoded per encode_beat call by cmd_encode
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a flag argparse cannot parse (a value it cannot convert, a bad
+    choice, a missing required flag) as a ValidationError, exit 1, not 2."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
 
 class _FromConfig:
     """Default of a flag that the config sets. main() swaps the JSON value in
@@ -234,15 +244,15 @@ def cmd_encode(args) -> int:
     beats = read_beats_csv(args.beats)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    index_rows = []
-    for i, (samples, label) in enumerate(zip(beats.samples, beats.label.tolist())):
-        stem = out / f"beat_{i:05d}"
-        record_io.export_image(encode_beat(samples, cfg), stem)
-        index_rows.append((stem.name, label))
+    stems = [f"beat_{i:05d}" for i in range(len(beats))]
+    for start in range(0, len(beats), ENCODE_CHUNK):
+        images = encode_beat(beats.samples[start:start + ENCODE_CHUNK], cfg)
+        for stem, image in zip(stems[start:], images):
+            record_io.export_image(image, out / stem)
     with open(out / "index.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stem", "label"])
-        writer.writerows(index_rows)
+        writer.writerows(zip(stems, beats.label.tolist()))
     _write_manifest(out / "index.csv", "encode", args, inputs=[args.beats])
     print(f"encode: wrote {len(beats)} images to {out}")
     return 0
@@ -350,7 +360,7 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser(config: dict) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ecgbeats",
         description="Heartbeat classification pipeline: features + tree "
                     "ensembles, and beat-to-image encoders.")
@@ -454,7 +464,8 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         if not isinstance(section, dict):
             raise ValidationError(f"config section '{name}' must be a JSON object")
         sp = sub.choices[name]
-        actions = {a.dest: a for a in sp._actions}
+        # argparse's own --help stores no value, so it is no config key
+        actions = {a.dest: a for a in sp._actions if a.default is not argparse.SUPPRESS}
         unknown = set(section) - set(actions)
         if unknown:
             raise ValidationError(
@@ -464,7 +475,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
 
 
 def _load_config(argv) -> dict:
-    pre = argparse.ArgumentParser(add_help=False)
+    pre = _Parser(prog="ecgbeats", add_help=False)
     pre.add_argument("--config", default=None)
     ns, _ = pre.parse_known_args(argv)
     if ns.config is None:

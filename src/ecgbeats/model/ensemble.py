@@ -92,8 +92,3 @@ def predict_batch(model: EnsembleModel, rows):
     probs = predict_proba(model, rows)
     return np.argmax(probs, axis=1), probs
 
-
-def predict(model: EnsembleModel, row):
-    """(class id, probability vector) for a single row."""
-    ids, probs = predict_batch(model, np.atleast_2d(row))
-    return int(ids[0]), probs[0]

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import BeatImage
 from .errors import DataError, ParseError, ValidationError, is_int
 
 FLOAT_FMT = "%.9g"  # 9 significant digits everywhere we write decimals
@@ -379,14 +378,15 @@ def load_feature_matrix(path):
 _CHANNEL_NAMES = ("gasf", "mtf", "rp")
 
 
-def export_image(img: BeatImage, stem) -> None:
-    """Write one beat image as ``<stem>.f32`` plus three 8-bit PGMs.
+def export_image(image, stem) -> None:
+    """Write one beat image, a ``(3, 32, 32)`` array such as one entry of
+    ``encode_beat``'s output, as ``<stem>.f32`` plus three 8-bit PGMs.
 
     The .f32 file is the raw float32 channel stack (channel-major, C order,
-    little endian). Each PGM maps its own channel's min/max linearly onto
-    0..255; a constant channel maps to 255 by convention.
+    little endian). Each PGM maps its own float32 channel's min/max linearly
+    onto 0..255; a constant channel maps to 255 by convention.
     """
-    stack = img.as_array().astype("<f4")
+    stack = np.asarray(image, dtype="<f4")
     if stack.ndim != 3 or stack.shape[0] != 3 or stack.shape[1] != stack.shape[2]:
         raise ValidationError(f"expected 3 square channels, got shape {stack.shape}")
     stem = str(stem)

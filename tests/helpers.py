@@ -3,8 +3,6 @@ modules so nothing here gets collected twice."""
 
 import numpy as np
 
-from ecgbeats.encode import BeatImage
-
 
 def segment_distance(point, a, b):
     """Distance from point to the segment [a, b] (clamped projection)."""
@@ -32,10 +30,9 @@ def analytic_bandpass_db(f, low=0.5, high=35.0, order=4):
 
 
 def random_image(rng=None):
-    """A BeatImage with channels drawn over their legal value ranges."""
+    """A (3, 32, 32) beat image with channels (gasf, mtf, rp) drawn over their
+    legal value ranges, or all zeros without an rng."""
     if rng is None:
-        return BeatImage(gasf=np.zeros((32, 32)), mtf=np.zeros((32, 32)),
-                         rp=np.zeros((32, 32)))
-    return BeatImage(gasf=rng.uniform(-1, 1, (32, 32)),
-                     mtf=rng.uniform(0, 1, (32, 32)),
-                     rp=rng.uniform(0, 1, (32, 32)))
+        return np.zeros((3, 32, 32))
+    return np.stack([rng.uniform(-1, 1, (32, 32)), rng.uniform(0, 1, (32, 32)),
+                     rng.uniform(0, 1, (32, 32))])

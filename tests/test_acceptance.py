@@ -222,7 +222,7 @@ def test_round_trips(e2e, tmp_path):
         img = random_image(rng)
         export_image(img, tmp_path / f"img{i}")
         assert np.array_equal(load_image_f32(tmp_path / f"img{i}.f32"),
-                              img.as_array().astype("<f4"))
+                              img.astype("<f4"))
 
     # model files: fitted GBDT from the e2e run plus a forest
     forest = fit_random_forest(e2e["x_train"][:200], e2e["y_train"][:200],

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -85,6 +86,12 @@ class TestPipeline:
         index = (out / "index.csv").read_text().splitlines()
         assert len(index) == 91  # header + one row per beat
 
+    def test_encode_files_match_pinned_digests(self, pipeline_dir):
+        out = pipeline_dir / "images_pinned"
+        assert run("encode", "--beats", pipeline_dir / "pre" / "beats.csv",
+                   "--out-dir", out) == 0
+        assert image_digests(out) == PIPELINE_IMAGE_DIGESTS
+
     def test_gridsearch(self, pipeline_dir):
         grid = pipeline_dir / "grid.json"
         grid.write_text(json.dumps([
@@ -99,6 +106,38 @@ class TestPipeline:
         assert best["n_estimators"] == 6
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 combinations
+
+
+def image_digests(out):
+    """SHA-256 over every beat image file (name and bytes, in stem order) and
+    over index.csv."""
+    files = hashlib.sha256()
+    for path in sorted(out.glob("beat_*")):
+        files.update(path.name.encode() + b"\0" + path.read_bytes())
+    return files.hexdigest(), hashlib.sha256((out / "index.csv").read_bytes()).hexdigest()
+
+
+# written by the per-beat encoder that the batched one replaced
+PIPELINE_IMAGE_DIGESTS = (
+    "204a5cf5ffd0786cc94951a050ac36f8beab0f7bf902dc5aa267a7e270269e03",
+    "e1b27e7f4dcc4545086e891703a0a903b416f7b98aba0ab10538c5dae1cb43f8")
+RECORD_3000_IMAGE_DIGESTS = (
+    "1f15cd2495b748675d1da7d91099c1f19e1e8ce2da78dae25c18e77535b6e9d0",
+    "bdcd63a83cb206f5614e98a218fdb2593c41013220a440be98f70637ad3f1a9b")
+
+
+def test_encode_of_3000_noisy_beats_matches_pinned_digests(tmp_path):
+    # several blocks of cli.ENCODE_CHUNK beats and a partial one
+    assert run("synth", "--out-dir", tmp_path / "raw", "--n-beats", 1200,
+               "--noise-std", "0.1", "--seed", 5) == 0
+    assert run("preprocess", "--signal", tmp_path / "raw" / "signal.csv",
+               "--annotations", tmp_path / "raw" / "annotations.csv",
+               "--out-dir", tmp_path / "pre") == 0
+    lines = (tmp_path / "pre" / "beats.csv").read_bytes().split(b"\r\n")
+    (tmp_path / "first.csv").write_bytes(b"\r\n".join(lines[:3001]) + b"\r\n")
+    assert run("encode", "--beats", tmp_path / "first.csv",
+               "--out-dir", tmp_path / "img") == 0
+    assert image_digests(tmp_path / "img") == RECORD_3000_IMAGE_DIGESTS
 
 
 class TestDeterminism:
@@ -130,6 +169,23 @@ class TestErrors:
 
     def test_bad_flag_value_is_validation_error(self, tmp_path):
         assert run("synth", "--out-dir", tmp_path, "--n-beats", 0) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--features", "f.csv", "--out", "m.txt", "--max-depth", "1.5"],
+         "error: ecgbeats train: argument --max-depth: invalid int value: '1.5'\n"),
+        (["synth", "--n-beats", "5"],
+         "error: ecgbeats synth: the following arguments are required: --out-dir\n"),
+    ], ids=["unconvertible", "missing-required"])
+    def test_flag_argparse_refuses_is_exit_1(self, tmp_path, capsys, argv, message):
+        # argparse's own exit would be 2, the code of malformed data
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == message
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("synth", "--help")
+        assert info.value.code == 0
+        assert "--out-dir" in capsys.readouterr().out
 
     def test_all_validation_failures_listed_at_once(self, tmp_path, capsys):
         code = run("train", "--features", tmp_path / "f.csv",
@@ -314,6 +370,13 @@ class TestConfigFile:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"synth": {"bogus_key": 1}}))
         assert run("--config", config, "synth", "--out-dir", tmp_path / "x") == 1
+
+    def test_help_is_no_config_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"help": True}}))
+        assert run("--config", config, "synth", "--out-dir", tmp_path / "x") == 1
+        assert "unknown keys: ['help']" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_stage_rejected(self, tmp_path):
         config = tmp_path / "config.json"

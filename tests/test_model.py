@@ -4,7 +4,7 @@ import pytest
 from ecgbeats.errors import DataError, ValidationError
 from ecgbeats.model import (GbdtParams, RfParams, fit_gbdt,
                             fit_random_forest, grid_search, load_model,
-                            predict, predict_batch, predict_proba, save_model,
+                            predict_batch, predict_proba, save_model,
                             stratified_kfold)
 from ecgbeats.model.ensemble import softmax
 
@@ -47,16 +47,16 @@ class TestGbdtOracle:
         assert class1.value[class1.right[0]] == pytest.approx(1.0, abs=1e-9)
 
     def test_oracle_model_classifies_x0_as_class0(self):
-        cls, probs = predict(self._fit(), [0.0])
-        assert cls == 0
-        assert probs[0] > probs[1]
+        cls, probs = predict_batch(self._fit(), [[0.0]])
+        assert cls[0] == 0
+        assert probs[0, 0] > probs[0, 1]
 
     def test_large_alpha_soft_threshold_kills_update(self):
         # |G| = 1 in both leaves; alpha = 2 > |G| zeroes every leaf
         model = self._fit(l1_alpha=2.0)
         for tree in model.trees:
             assert np.all(tree.value[tree.feature == -1] == 0.0)
-        _, probs = predict(model, [0.0])
+        _, probs = predict_batch(model, [[0.0]])
         assert np.allclose(probs, 0.5)
 
 
@@ -126,8 +126,8 @@ class TestPredict:
     def test_zero_rounds_uniform(self):
         x = np.array([[0.0], [1.0]])
         model = fit_gbdt(x, np.array([0, 1]), GbdtParams(n_estimators=0))
-        cls, probs = predict(model, [0.3])
-        assert cls == 0
+        cls, probs = predict_batch(model, [[0.3]])
+        assert cls[0] == 0
         assert np.allclose(probs, 0.5)
 
     def test_probabilities_sum_to_one(self):
@@ -142,7 +142,7 @@ class TestPredict:
         model = fit_gbdt(rows, labels, GbdtParams(n_estimators=1, max_depth=2,
                                                   min_data_in_leaf=2))
         with pytest.raises(ValidationError):
-            predict(model, [0.0, 0.0, 0.0])
+            predict_batch(model, [[0.0, 0.0, 0.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, bad):
@@ -229,7 +229,7 @@ class TestPersistence:
         model = fit_gbdt(x, np.array([0, 1]), GbdtParams(n_estimators=0))
         save_model(model, tmp_path / "m.txt")
         loaded = load_model(tmp_path / "m.txt")
-        _, probs = predict(loaded, [0.0])
+        _, probs = predict_batch(loaded, [[0.0]])
         assert np.allclose(probs, 0.5)
 
     def test_corrupted_header_rejected(self, tmp_path):

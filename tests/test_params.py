@@ -67,7 +67,7 @@ CONFIG_FIELDS = [
     ("balance", "k_neighbors", "k_neighbors", bad_int(1)),
     ("balance", "seed", "seed", bad_int(0)),
     ("balance", "targets", "target", [NAN, INF, 5, True, None, "x", "N=1.5", "N=0"]),
-    ("encode", "mtf_bins", "n_bins", bad_int(2)),
+    ("encode", "mtf_bins", "n_bins", bad_int(2) + [33]),
     ("gridsearch-rf", "seed", "seed", bad_int(0)),
     ("preprocess", "fs", "fs", bad_real(0, strict=True)),
     ("preprocess", "target_fs", "target_fs", bad_real(0, strict=True)),

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ecgbeats.encode import BeatImage
 from ecgbeats.errors import DataError, ParseError, ValidationError
 from ecgbeats.record_io import (EcgRecord, LabelSet, export_image,
                                 load_feature_matrix, load_image_f32,
@@ -151,16 +150,15 @@ class TestImageExport:
 
     def test_constant_channel_maps_to_255(self, tmp_path):
         img = random_image()
-        img.gasf = np.ones((32, 32))
+        img[0] = 1.0
         export_image(img, tmp_path / "img")
         pgm = read_pgm(tmp_path / "img_gasf.pgm")
         assert np.all(pgm == 255)
 
     def test_pgm_linear_mapping(self, tmp_path):
         img = random_image()
-        img.mtf = np.zeros((32, 32))
-        img.mtf[0, 0] = 1.0
-        img.mtf[0, 1] = 0.5
+        img[1, 0, 0] = 1.0
+        img[1, 0, 1] = 0.5
         export_image(img, tmp_path / "img")
         pgm = read_pgm(tmp_path / "img_mtf.pgm")
         assert pgm[0, 0] == 255 and pgm[0, 1] == 128 and pgm[1, 1] == 0
@@ -172,13 +170,11 @@ class TestImageExport:
             stem = tmp_path / f"img{i}"
             export_image(img, stem)
             loaded = load_image_f32(f"{stem}.f32")
-            assert np.array_equal(loaded, img.as_array().astype("<f4"))
+            assert np.array_equal(loaded, img.astype("<f4"))
 
     def test_wrong_shape_rejected(self, tmp_path):
-        img = BeatImage(gasf=np.zeros((32, 32)), mtf=np.zeros((32, 32)),
-                        rp=np.zeros((16, 16)))
         with pytest.raises(ValueError):
-            export_image(img, tmp_path / "img")
+            export_image(np.zeros((3, 16, 32)), tmp_path / "img")
 
     def test_truncated_f32_rejected(self, tmp_path):
         path = tmp_path / "img.f32"
