@@ -29,7 +29,7 @@ from . import metrics as metrics_mod
 from . import preprocess as preprocess_mod
 from . import record_io
 from . import synth as synth_mod
-from .encode import MtfConfig, encode_beat
+from .encode import MtfConfig, encode_beat, out_of_range
 from .errors import DataError, ValidationError, is_real, real_above, validate
 from .model import (GbdtParams, RfParams, fit_gbdt, fit_random_forest,
                     grid_search, load_model, predict_batch, save_model)
@@ -125,8 +125,6 @@ def _parse_targets(spec: str, label_set: LabelSet) -> dict:
             value = int(count)
         except ValueError:
             raise ValidationError(f"bad target {item!r}; expected SYMBOL=COUNT") from None
-        if value <= 0:
-            raise ValidationError(f"bad target {item!r}; the count must be positive")
         class_id = label_set.id_of(name.strip())
         if class_id in targets:
             raise ValidationError(f"bad target {item!r}; {name.strip()} is named twice")
@@ -242,6 +240,10 @@ def cmd_encode(args) -> int:
     cfg = MtfConfig(n_bins=args.mtf_bins)
     _require_inputs(args.beats)
     beats = read_beats_csv(args.beats)
+    bad = np.flatnonzero(out_of_range(beats.samples))
+    if bad.size:
+        raise ValidationError(f"{args.beats}:{record_io.line_of_row(args.beats, bad[0])}: "
+                              "beat samples must lie in [-1, 1]")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stems = [f"beat_{i:05d}" for i in range(len(beats))]

@@ -65,8 +65,14 @@ def paa(series, m: int) -> np.ndarray:
     return sum((w * x[..., i] for w, i in zip(weight.T, idx.T)), 0.0) / width
 
 
+def out_of_range(series) -> np.ndarray:
+    """Per series, ``(..., n) -> (...)``: True where a value is not finite or
+    lies outside [-1, 1] by more than float noise."""
+    return ~np.all(np.abs(series) <= 1.0 + _RANGE_TOL, axis=-1)
+
+
 def _check_unit_range(x: np.ndarray) -> np.ndarray:
-    if x.size and (np.max(np.abs(x)) > 1.0 + _RANGE_TOL or not np.all(np.isfinite(x))):
+    if np.any(out_of_range(x)):
         raise ValidationError("series values must lie in [-1, 1]")
     return np.clip(x, -1.0, 1.0)
 

@@ -22,26 +22,25 @@ class EnsembleModel:
 
     For ``kind == 'gbdt'`` the trees are stored round-major, class-minor:
     tree t belongs to boosting round t // n_classes, class t % n_classes,
-    and leaf values are already learning-rate scaled. ``train_logloss``
-    (GBDT only) records the training multiclass logloss after each round.
+    leaf scores are already learning-rate scaled, and ``n_rounds`` is the
+    tree count over K. ``train_logloss`` (GBDT only) records the training
+    multiclass logloss after each round. Forest trees hold leaf class counts.
     """
 
     kind: str                     # "gbdt" | "rf"
     n_classes: int
     n_features: int
     trees: list
-    n_rounds: int = 0             # gbdt only
     train_logloss: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("gbdt", "rf"):
             raise ValidationError(f"unknown model kind {self.kind!r}")
-        if self.kind == "gbdt":
-            if len(self.trees) != self.n_rounds * self.n_classes:
-                raise ValidationError(
-                    f"gbdt expects n_rounds*K = {self.n_rounds * self.n_classes} "
-                    f"trees, got {len(self.trees)}"
-                )
+
+    @property
+    def n_rounds(self) -> int:
+        """Boosting rounds of a GBDT model (K trees per round)."""
+        return len(self.trees) // self.n_classes
 
 
 def check_training_data(rows, labels, n_classes: int | None):
@@ -75,16 +74,14 @@ def predict_proba(model: EnsembleModel, rows) -> np.ndarray:
     """Class-probability matrix, one row per input row."""
     x = _check_rows(model, rows)
     k = model.n_classes
-    if model.kind == "gbdt":
-        raw = np.zeros((x.shape[0], k))
-        for t, tree in enumerate(model.trees):
-            raw[:, t % k] += tree.predict_value(x)
-        return softmax(raw)
-    probs = np.zeros((x.shape[0], k))
-    for tree in model.trees:
-        counts = tree.predict_counts(x).astype(float)
-        probs += counts / counts.sum(axis=1, keepdims=True)
-    return probs / len(model.trees)
+    total = np.zeros((x.shape[0], k))
+    for t, tree in enumerate(model.trees):
+        leaf = tree.value[tree.apply(x)]
+        if model.kind == "gbdt":
+            total[:, t % k] += leaf
+        else:
+            total += leaf / leaf.sum(axis=1, keepdims=True)
+    return softmax(total) if model.kind == "gbdt" else total / len(model.trees)
 
 
 def predict_batch(model: EnsembleModel, rows):

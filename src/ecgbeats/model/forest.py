@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import int_at_least, validate
 from .ensemble import EnsembleModel, check_training_data
-from .tree import Tree, TreeBuilder
+from .tree import LEAF, Tree
 
 
 @dataclass
@@ -75,8 +75,8 @@ def _build_tree(x, y, sample_idx, n_classes, params: RfParams, rng) -> Tree:
     n_features = x.shape[1]
     k_feats = params.features_per_split or max(1, round(np.sqrt(n_features)))
     k_feats = min(k_feats, n_features)
-    builder = TreeBuilder(n_classes=n_classes)
-    stack = [(builder.add_node(), sample_idx, 0)]
+    nodes = [None]                 # filled when each node is popped
+    stack = [(0, sample_idx, 0)]
     while stack:
         node, idx, depth = stack.pop()
         counts = np.bincount(y[idx], minlength=n_classes)
@@ -87,15 +87,16 @@ def _build_tree(x, y, sample_idx, n_classes, params: RfParams, rng) -> Tree:
             split = _best_gini_split(x[idx], y[idx], n_classes,
                                      params.min_samples_leaf, feats)
         if split is None:
-            builder.set_leaf_counts(node, counts)
+            nodes[node] = (LEAF, 0.0, LEAF, LEAF, counts)
             continue
         feature, threshold = split
         go_left = x[idx, feature] <= threshold
-        left, right = builder.add_node(), builder.add_node()
-        builder.set_split(node, feature, threshold, left, right)
-        stack.append((right, idx[~go_left], depth + 1))
+        left = len(nodes)
+        nodes += [None, None]
+        nodes[node] = (feature, threshold, left, left + 1, np.zeros_like(counts))
+        stack.append((left + 1, idx[~go_left], depth + 1))
         stack.append((left, idx[go_left], depth + 1))
-    return builder.build()
+    return Tree.from_nodes(nodes)
 
 
 def fit_random_forest(rows, labels, params: RfParams = RfParams(),

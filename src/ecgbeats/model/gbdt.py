@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import int_at_least, real_above, real_at_least, validate
 from .ensemble import EnsembleModel, check_training_data, softmax
-from .tree import Tree, TreeBuilder
+from .tree import LEAF, Tree
 
 
 @dataclass
@@ -121,9 +121,9 @@ def _build_tree(x, order, xs, g, h, params: GbdtParams, score) -> Tree:
     split hands each child the entries of its parent's order and xs whose rows
     it gets.
     """
-    builder = TreeBuilder()
+    nodes = [None]                 # filled when each node is popped
     goes_left = np.zeros(x.shape[0], dtype=bool)
-    stack = [(builder.add_node(), np.arange(x.shape[0]), order, xs, 0)]
+    stack = [(0, np.arange(x.shape[0]), order, xs, 0)]
     while stack:
         node, idx, order, xs, depth = stack.pop()
         # summed in ascending row order: a sorted-order sum moves the last bits
@@ -134,18 +134,19 @@ def _build_tree(x, order, xs, g, h, params: GbdtParams, score) -> Tree:
                                 params.l2_lambda, params.min_data_in_leaf)
         if split is None:
             value = _leaf_value(g_total, h_total, params)
-            builder.set_leaf_value(node, value)
+            nodes[node] = (LEAF, 0.0, LEAF, LEAF, value)
             score[idx] += value
             continue
         feature, threshold = split
         go_left = x[idx, feature] <= threshold
         goes_left[idx] = go_left
         in_left = goes_left[order]
-        left, right = builder.add_node(), builder.add_node()
-        builder.set_split(node, feature, threshold, left, right)
-        stack.append((right, idx[~go_left], *_keep(order, xs, ~in_left), depth + 1))
+        left = len(nodes)
+        nodes += [None, None]
+        nodes[node] = (feature, threshold, left, left + 1, 0.0)
+        stack.append((left + 1, idx[~go_left], *_keep(order, xs, ~in_left), depth + 1))
         stack.append((left, idx[go_left], *_keep(order, xs, in_left), depth + 1))
-    return builder.build()
+    return Tree.from_nodes(nodes)
 
 
 def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
@@ -169,7 +170,5 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
         probs = softmax(scores)
         logloss.append(float(-np.mean(np.log(probs[np.arange(x.shape[0]), y]))))
 
-    model = EnsembleModel(kind="gbdt", n_classes=k, n_features=x.shape[1],
-                          trees=trees, n_rounds=params.n_estimators)
-    model.train_logloss = logloss
-    return model
+    return EnsembleModel(kind="gbdt", n_classes=k, n_features=x.shape[1],
+                         trees=trees, train_logloss=logloss)

@@ -14,9 +14,12 @@ Grammar (one record per line, whitespace separated):
     n <i> leaf <c0> ... <cK-1>        # rf leaf (class counts)
     end
 
-Thresholds and leaf values are written with repr(), which round-trips
-float64 exactly, so a loaded model predicts bit-identically. GBDT trees are
-stored in their round-major, class-minor training order.
+A leaf record is its node's entry of the tree's one ``value`` payload: a
+GBDT score or a forest's K class counts. Thresholds and payloads are written
+with repr(), which round-trips float64 exactly, so a loaded model predicts
+bit-identically. GBDT trees are stored in their round-major, class-minor
+training order; ``n_rounds`` is the model's tree count over K, and loading
+checks n_trees == n_rounds * K.
 
 Loading checks every record: each split node i needs i < left, right < M and
 0 <= feature < F (so routing always ends at a leaf), and numbers must parse,
@@ -54,11 +57,9 @@ def save_model(model: EnsembleModel, path) -> None:
                     f"n {i} split {int(tree.feature[i])} {float(tree.threshold[i])!r} "
                     f"{int(tree.left[i])} {int(tree.right[i])}"
                 )
-            elif model.kind == "gbdt":
-                lines.append(f"n {i} leaf {float(tree.value[i])!r}")
             else:
-                counts = " ".join(str(int(c)) for c in tree.counts[i])
-                lines.append(f"n {i} leaf {counts}")
+                leaf = " ".join(map(repr, np.atleast_1d(tree.value[i]).tolist()))
+                lines.append(f"n {i} leaf {leaf}")
     lines.append("end")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -131,9 +132,9 @@ def _read_tree(reader: _LineReader, t: int, kind: str, n_classes: int,
     threshold = np.zeros(n_nodes)
     left = np.full(n_nodes, LEAF, dtype=np.int32)
     right = np.full(n_nodes, LEAF, dtype=np.int32)
-    value = np.zeros(n_nodes) if kind == "gbdt" else None
-    counts = np.zeros((n_nodes, n_classes), dtype=np.int64) if kind == "rf" else None
-    leaf_fields = 1 if kind == "gbdt" else n_classes
+    value = np.zeros((n_nodes, n_classes), dtype=np.int64) if kind == "rf" else np.zeros(n_nodes)
+    parse = reader.integer if kind == "rf" else reader.number
+    leaf = value.reshape(n_nodes, -1)     # a view: one row of leaf fields per node
     seen = np.zeros(n_nodes, dtype=bool)
     for _ in range(n_nodes):
         parts = reader.expect("n", None)
@@ -152,16 +153,12 @@ def _read_tree(reader: _LineReader, t: int, kind: str, n_classes: int,
             left[i] = reader.integer(fields[2], low=i + 1, high=n_nodes)
             right[i] = reader.integer(fields[3], low=i + 1, high=n_nodes)
         elif node_kind == "leaf":
-            if len(fields) != leaf_fields:
-                reader.fail(f"leaf needs {leaf_fields} field(s), found {len(fields)}")
-            if kind == "gbdt":
-                value[i] = reader.number(fields[0])
-            else:
-                counts[i] = [reader.integer(c) for c in fields]
+            if len(fields) != leaf.shape[1]:
+                reader.fail(f"leaf needs {leaf.shape[1]} field(s), found {len(fields)}")
+            leaf[i] = [parse(token) for token in fields]
         else:
             reader.fail(f"unknown node kind {node_kind!r}")
-    return Tree(feature=feature, threshold=threshold, left=left, right=right,
-                value=value, counts=counts)
+    return Tree(feature=feature, threshold=threshold, left=left, right=right, value=value)
 
 
 def load_model(path) -> EnsembleModel:
@@ -185,5 +182,4 @@ def load_model(path) -> EnsembleModel:
     trees = [_read_tree(reader, t, kind, n_classes, n_features) for t in range(n_trees)]
     if reader.next() != ["end"]:
         reader.fail("missing end marker")
-    return EnsembleModel(kind=kind, n_classes=n_classes, n_features=n_features,
-                         trees=trees, n_rounds=n_rounds)
+    return EnsembleModel(kind=kind, n_classes=n_classes, n_features=n_features, trees=trees)

@@ -1,9 +1,15 @@
 """Flat-array binary decision trees shared by the boosted and bagged models.
 
 Nodes live in parallel arrays; feature == -1 marks a leaf. Routing is fixed
-everywhere: a row goes left iff row[feature] <= threshold. Regression trees
-(GBDT) carry one scalar per leaf; classification trees (random forest) carry
-a per-class training-count histogram.
+everywhere: a row goes left iff row[feature] <= threshold. Every node has one
+payload in ``value``: a regression tree (GBDT) holds a (n_nodes,) float64
+leaf score, a classification tree (random forest) a (n_nodes, K) int64
+training-count histogram. Split nodes hold a zero payload. A tree predicts
+``tree.value[tree.apply(x)]``.
+
+Growers append one ``(feature, threshold, left, right, value)`` tuple per
+node to a plain list, children after their parent, and freeze the list with
+``Tree.from_nodes``.
 """
 
 from __future__ import annotations
@@ -21,8 +27,17 @@ class Tree:
     threshold: np.ndarray          # float64
     left: np.ndarray               # int32 child ids
     right: np.ndarray
-    value: np.ndarray | None = None    # float64 leaf payload (GBDT)
-    counts: np.ndarray | None = None   # (n_nodes, K) int64 leaf payload (RF)
+    value: np.ndarray              # float64 scores (GBDT) or (n_nodes, K) int64 counts (RF)
+
+    @classmethod
+    def from_nodes(cls, nodes: list) -> Tree:
+        """The tree of a list of (feature, threshold, left, right, value) nodes."""
+        feature, threshold, left, right, value = zip(*nodes)
+        return cls(feature=np.asarray(feature, dtype=np.int32),
+                   threshold=np.asarray(threshold, dtype=float),
+                   left=np.asarray(left, dtype=np.int32),
+                   right=np.asarray(right, dtype=np.int32),
+                   value=np.asarray(value))
 
     @property
     def n_nodes(self) -> int:
@@ -40,53 +55,3 @@ class Tree:
             rows = node[active]
             go_left = x[active, feat[active]] <= self.threshold[rows]
             node[active] = np.where(go_left, self.left[rows], self.right[rows])
-
-    def predict_value(self, x: np.ndarray) -> np.ndarray:
-        return self.value[self.apply(x)]
-
-    def predict_counts(self, x: np.ndarray) -> np.ndarray:
-        return self.counts[self.apply(x)]
-
-
-class TreeBuilder:
-    """Accumulates nodes during growth, then freezes into a Tree."""
-
-    def __init__(self, n_classes: int | None = None):
-        self.feature, self.threshold = [], []
-        self.left, self.right = [], []
-        self.value = []
-        self.counts = [] if n_classes is not None else None
-        self.n_classes = n_classes
-
-    def add_node(self) -> int:
-        self.feature.append(LEAF)
-        self.threshold.append(0.0)
-        self.left.append(LEAF)
-        self.right.append(LEAF)
-        self.value.append(0.0)
-        if self.counts is not None:
-            self.counts.append(np.zeros(self.n_classes, dtype=np.int64))
-        return len(self.feature) - 1
-
-    def set_split(self, node: int, feature: int, threshold: float,
-                  left: int, right: int) -> None:
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.left[node] = left
-        self.right[node] = right
-
-    def set_leaf_value(self, node: int, value: float) -> None:
-        self.value[node] = value
-
-    def set_leaf_counts(self, node: int, counts: np.ndarray) -> None:
-        self.counts[node] = np.asarray(counts, dtype=np.int64)
-
-    def build(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=float),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            value=None if self.counts is not None else np.asarray(self.value, dtype=float),
-            counts=np.asarray(self.counts, dtype=np.int64) if self.counts is not None else None,
-        )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -86,10 +87,6 @@ class EcgRecord:
             raise ValidationError("R-peak index outside the signal")
         if np.any(np.diff(self.rpeaks) <= 0):
             raise ValidationError("R-peak indices must be strictly increasing")
-
-    @property
-    def n_samples(self) -> int:
-        return self.leads[0].shape[0]
 
 
 @dataclass
@@ -181,6 +178,14 @@ def read_numeric_csv(path, header=None, widths=None, int_cols=()):
         _raise_first_bad_line(path, fields is not None, widths, int_cols)
         raise DataError(f"{path}: rejected by the array checks but no line was at fault")
     return data
+
+
+def line_of_row(path, row: int) -> int:
+    """File line number (from 1) of data row ``row`` of a CSV with a header
+    line, counted as read_numeric_csv counts rows (blank lines skipped)."""
+    with open(path, errors="replace") as fh:
+        lines = (n for n, line in enumerate(fh, start=1) if n > 1 and line.rstrip("\r\n"))
+        return next(itertools.islice(lines, row, None))
 
 
 def _raise_first_bad_line(path, has_header, widths, int_cols) -> None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ecgbeats import cli
-from ecgbeats.record_io import load_feature_matrix
+from ecgbeats.record_io import BEAT_LEN, Beats, load_feature_matrix, write_beats_csv
 
 
 def run(*argv):
@@ -197,14 +197,36 @@ class TestErrors:
         for field in ("learning_rate", "max_depth", "min_data_in_leaf"):
             assert field in err
 
-    @pytest.mark.parametrize("targets", ["N=abc,S=5,V=5", "N=-5,S=5,V=5", "N=0,S=5,V=5"])
-    def test_bad_targets_are_validation_errors(self, tmp_path, capsys, targets):
+    @pytest.mark.parametrize("targets, message", [
+        ("N=abc,S=5,V=5", "bad target 'N="),
+        ("N=-5,S=5,V=5", "targets must map class ids >= 0 to counts >= 1"),
+        ("N=0,S=5,V=5", "targets must map class ids >= 0 to counts >= 1"),
+    ], ids=["N=abc,S=5,V=5", "N=-5,S=5,V=5", "N=0,S=5,V=5"])
+    def test_bad_targets_are_validation_errors(self, tmp_path, capsys, targets, message):
         for stage_args in (["balance", "--out", tmp_path / "b.csv"],
                            ["gridsearch", "--grid", tmp_path / "g.json",
                             "--out-dir", tmp_path / "gs"]):
             code = run(*stage_args, "--features", tmp_path / "f.csv", "--targets", targets)
             assert code == 1
-            assert "bad target 'N=" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blank_lines, line", [(0, 302), (2, 304)])
+    def test_out_of_range_beat_refused_before_any_image(self, tmp_path, capsys,
+                                                        blank_lines, line):
+        # row 300 of 600 lies past the first cli.ENCODE_CHUNK beats
+        rng = np.random.default_rng(0)
+        samples = rng.uniform(-1.0, 1.0, size=(600, BEAT_LEN))
+        samples[300, 17] = 5.0
+        beats = tmp_path / "beats.csv"
+        write_beats_csv(beats, Beats(samples=samples, rpeak=np.arange(600) * 200,
+                                     label=np.arange(600) % 3, rr_prev=np.full(600, 0.8),
+                                     rr_next=np.full(600, 0.8), raw_amp=np.ones(600)))
+        lines = beats.read_bytes().split(b"\r\n")
+        beats.write_bytes(b"\r\n".join(lines[:10] + [b""] * blank_lines + lines[10:]))
+        code = run("encode", "--beats", beats, "--out-dir", tmp_path / "img")
+        assert code == 1
+        assert f"beats.csv:{line}: beat samples must lie in [-1, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "img").exists()
 
     def test_evaluate_rejects_cyclic_model(self, tmp_path, capsys, pipeline_dir):
         model = tmp_path / "m.txt"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ecgbeats.model import GbdtParams, fit_gbdt, save_model
 from ecgbeats.model.ensemble import softmax
-from ecgbeats.model.tree import TreeBuilder
+from ecgbeats.model.tree import LEAF, Tree
 
 
 def _gain_term(g_sum, den):
@@ -57,8 +57,8 @@ def _leaf_value(g_sum, h_sum, params):
 
 
 def _build_tree(x, g, h, params):
-    builder = TreeBuilder()
-    stack = [(builder.add_node(), np.arange(x.shape[0]), 0)]
+    nodes = [None]
+    stack = [(0, np.arange(x.shape[0]), 0)]
     while stack:
         node, idx, depth = stack.pop()
         split = None
@@ -66,15 +66,17 @@ def _build_tree(x, g, h, params):
             split = _best_split(x[idx], g[idx], h[idx],
                                 params.l2_lambda, params.min_data_in_leaf)
         if split is None:
-            builder.set_leaf_value(node, _leaf_value(g[idx].sum(), h[idx].sum(), params))
+            value = _leaf_value(g[idx].sum(), h[idx].sum(), params)
+            nodes[node] = (LEAF, 0.0, LEAF, LEAF, value)
             continue
         feature, threshold = split
         go_left = x[idx, feature] <= threshold
-        left, right = builder.add_node(), builder.add_node()
-        builder.set_split(node, feature, threshold, left, right)
-        stack.append((right, idx[~go_left], depth + 1))
+        left = len(nodes)
+        nodes += [None, None]
+        nodes[node] = (feature, threshold, left, left + 1, 0.0)
+        stack.append((left + 1, idx[~go_left], depth + 1))
         stack.append((left, idx[go_left], depth + 1))
-    return builder.build()
+    return Tree.from_nodes(nodes)
 
 
 def reference_fit(x, y, params, k):
@@ -88,7 +90,7 @@ def reference_fit(x, y, params, k):
             g = probs[:, cls] - onehot[:, cls]
             h = probs[:, cls] * (1.0 - probs[:, cls])
             tree = _build_tree(x, g, h, params)
-            scores[:, cls] += tree.predict_value(x)
+            scores[:, cls] += tree.value[tree.apply(x)]
             trees.append(tree)
         probs = softmax(scores)
         logloss.append(float(-np.mean(np.log(probs[np.arange(x.shape[0]), y]))))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,20 @@ class TestRandomForest:
             fit_random_forest(np.zeros((5, 2)), np.ones(5, dtype=int), RfParams(n_trees=1))
 
 
+# SHA-256 of (model file, predict_batch classes + probabilities), computed
+# before trees held a single leaf payload
+PINNED_BYTES = {
+    "gbdt": ("44c20e9cbd9891005b18d0c13a5bd743e94f14823294b6e42334057d88ed9292",
+             "59899246c84b7ed9b852464addd3c393018d82aaa24b3b8a2b377c3d49cf40aa"),
+    "rf": ("670f45fe6d875413341be9f4b862d14f426d7d37194d7c17559a086ea37bbad4",
+           "2430508ee252ebaa7b681ad3a47e223d11538d84bc3e4218637630181735475f"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestPersistence:
     def test_round_trip_predictions_bit_exact(self, tmp_path):
         rows, labels = blobs(seed=3)
@@ -231,6 +247,26 @@ class TestPersistence:
         loaded = load_model(tmp_path / "m.txt")
         _, probs = predict_batch(loaded, [[0.0]])
         assert np.allclose(probs, 0.5)
+
+    def test_model_and_prediction_bytes_pinned(self, tmp_path):
+        # tie-heavy rows (few levels, a duplicated column); the forest grows
+        # unbounded trees on bootstrap samples that repeat rows
+        rng = np.random.default_rng(77)
+        x = np.round(rng.normal(size=(300, 5)), 1)
+        x = np.hstack([x, x[:, :1]])
+        y = np.digitize(x[:, 0] + 0.5 * x[:, 2] + rng.normal(0.0, 0.6, 300), [-0.6, 0.6])
+        queries = np.vstack([x, np.round(rng.normal(size=(100, 6)), 1)])
+        for model in (fit_gbdt(x, y, GbdtParams(n_estimators=3, max_depth=5,
+                                                min_data_in_leaf=3)),
+                      fit_random_forest(x, y, RfParams(n_trees=6, seed=4))):
+            file_digest, predict_digest = PINNED_BYTES[model.kind]
+            path = tmp_path / f"{model.kind}.txt"
+            save_model(model, path)
+            assert _sha256(path.read_bytes()) == file_digest
+            for m in (model, load_model(path)):
+                classes, probs = predict_batch(m, queries)
+                assert _sha256(classes.astype("<i8").tobytes()
+                               + probs.astype("<f8").tobytes()) == predict_digest
 
     def test_corrupted_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
