@@ -17,13 +17,23 @@ and every node carries, per feature, its rows in ascending value order (ties
 to the lower row id). A split filters that order through its row mask into
 the two children's orders, so no node sorts again. Prefix sums and gains are
 evaluated only at the positions that leave min_data_in_leaf rows on each
-side. Node totals are summed over the node's rows in ascending row order, so
-the trees equal those of a per-node stable sort bit for bit, and fits are
-deterministic given the input order, so models are byte-reproducible.
+side, a block of features at a time in buffers formed in place, so the
+scan's memory is bounded whatever the node's size. Node totals are summed
+over the node's rows in ascending row order, so the trees equal those of a
+per-node stable sort bit for bit, and fits are deterministic given the input
+order, so models are byte-reproducible.
+
+A round's K trees are built at the same time on min(K, usable CPUs) threads
+(numpy releases the GIL in the takes, cumsums and gain arithmetic that are
+most of the work). They stay byte-reproducible for any thread count: each
+class tree reads only the round-start probabilities, the shared presort and
+its own g and h, writes only its own score column, runs the same operations
+in the same order as on one thread, and is appended in class order.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +66,20 @@ class GbdtParams:
 
 
 def _gain_term(g_sum: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """G^2 / den with 0 where den <= 0 (only reachable when lambda == 0)."""
+    """G^2 / den in place over g_sum, with 0 where den <= 0 (reachable when
+    lambda is 0, or when H - H_L rounds below -lambda)."""
     # an unmasked divide then a fix-up: a where= mask makes the divide ~5x slower
     with np.errstate(divide="ignore", invalid="ignore"):
-        term = g_sum * g_sum / den
-    term[~(den > 0)] = 0.0
-    return term
+        np.multiply(g_sum, g_sum, out=g_sum)
+        np.divide(g_sum, den, out=g_sum)
+    if den.min() <= 0:
+        g_sum[~(den > 0)] = 0.0
+    return g_sum
+
+
+# scan entries per block of features: the block's four (features, positions)
+# buffers stay in cache, and the scan's memory does not grow with the node
+_BLOCK = 1 << 15
 
 
 def _best_split(order, xs, g, h, g_total, h_total, lam, min_leaf):
@@ -82,17 +100,32 @@ def _best_split(order, xs, g, h, g_total, h_total, lam, min_leaf):
 
     # position p splits off the first p + 1 sorted rows; legal p: lo <= p < hi
     lo, hi = min_leaf - 1, n - min_leaf
-    gl = np.cumsum(g[order[:, :hi]], axis=1)[:, lo:]
-    hl = np.cumsum(h[order[:, :hi]], axis=1)[:, lo:]
-    gains = _gain_term(gl, hl + lam) + _gain_term(g_total - gl, h_total - hl + lam) - parent
-    gains[xs[:, lo + 1:hi + 1] <= xs[:, lo:hi]] = -np.inf
+    n_features = order.shape[0]
+    best = np.empty(n_features)                 # per feature: its best gain
+    at = np.empty(n_features, dtype=np.intp)    # and that gain's first position
+    step = max(1, _BLOCK // hi)
+    for f in range(0, n_features, step):
+        rows = order[f:f + step, :hi]
+        gl, hl = g.take(rows), h.take(rows)
+        np.cumsum(gl, axis=1, out=gl)
+        np.cumsum(hl, axis=1, out=hl)
+        gl, hl = gl[:, lo:], hl[:, lo:]
+        gr = np.subtract(g_total, gl)
+        hr = np.subtract(h_total, hl)
+        hr += lam
+        hl += lam
+        gains = _gain_term(gl, hl)
+        gains += _gain_term(gr, hr)
+        gains -= parent
+        gains[xs[f:f + step, lo + 1:hi + 1] <= xs[f:f + step, lo:hi]] = -np.inf
+        at[f:f + step] = gains.argmax(axis=1)
+        best[f:f + step] = np.take_along_axis(gains, at[f:f + step, None], axis=1)[:, 0]
 
-    per_feature = gains.max(axis=1)
-    feature = int(np.argmax(per_feature))
-    gain = per_feature[feature]
+    feature = int(np.argmax(best))
+    gain = best[feature]
     if not np.isfinite(gain) or gain <= 0.0:
         return None
-    pos = lo + int(np.argmax(gains[feature]))
+    pos = lo + int(at[feature])
     return feature, float(0.5 * (xs[feature, pos] + xs[feature, pos + 1]))
 
 
@@ -149,9 +182,19 @@ def _build_tree(x, order, xs, g, h, params: GbdtParams, score) -> Tree:
     return Tree.from_nodes(nodes)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
              n_classes: int | None = None) -> EnsembleModel:
     """Fit the boosted ensemble; scores start at 0 for every class."""
+    # imported here: at module level it would add to every CLI stage's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     x, y, k = check_training_data(rows, labels, n_classes)
     # the one sort of the fit; ties keep the lower row id first
     order = np.argsort(x.T, axis=1, kind="stable")
@@ -159,16 +202,21 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
     onehot = np.zeros((x.shape[0], k))
     onehot[np.arange(x.shape[0]), y] = 1.0
     scores = np.zeros((x.shape[0], k))
+    probs = softmax(scores)
+
+    def grow(cls):
+        # derivatives at the round-start probs; writes only scores[:, cls]
+        g = probs[:, cls] - onehot[:, cls]
+        h = probs[:, cls] * (1.0 - probs[:, cls])
+        return _build_tree(x, order, xs, g, h, params, scores[:, cls])
+
     trees, logloss = [], []
-    for _ in range(params.n_estimators):
-        probs = softmax(scores)
-        # all K trees of a round use derivatives at the round-start scores
-        for cls in range(k):
-            g = probs[:, cls] - onehot[:, cls]
-            h = probs[:, cls] * (1.0 - probs[:, cls])
-            trees.append(_build_tree(x, order, xs, g, h, params, scores[:, cls]))
-        probs = softmax(scores)
-        logloss.append(float(-np.mean(np.log(probs[np.arange(x.shape[0]), y]))))
+    with ThreadPoolExecutor(max_workers=min(k, _usable_cpus())) as pool:
+        for _ in range(params.n_estimators):
+            trees += pool.map(grow, range(k))     # in class order
+            # this round's logloss and the next round's derivatives
+            probs = softmax(scores)
+            logloss.append(float(-np.mean(np.log(probs[np.arange(x.shape[0]), y]))))
 
     return EnsembleModel(kind="gbdt", n_classes=k, n_features=x.shape[1],
                          trees=trees, train_logloss=logloss)

@@ -23,8 +23,10 @@ checks n_trees == n_rounds * K.
 
 Loading checks every record: each split node i needs i < left, right < M and
 0 <= feature < F (so routing always ends at a leaf), and numbers must parse,
-thresholds and leaf values as finite floats. A malformed file raises
-ParseError, a DataError naming the file and line.
+thresholds and leaf values as finite floats. A forest has at least one tree
+and each of its leaves' counts sums to 1 .. 2**63 - 1, so its probabilities
+are never 0 / 0 or an int64 overflow. A malformed file raises ParseError, a
+DataError naming the file and line.
 """
 
 from __future__ import annotations
@@ -155,7 +157,11 @@ def _read_tree(reader: _LineReader, t: int, kind: str, n_classes: int,
         elif node_kind == "leaf":
             if len(fields) != leaf.shape[1]:
                 reader.fail(f"leaf needs {leaf.shape[1]} field(s), found {len(fields)}")
-            leaf[i] = [parse(token) for token in fields]
+            payload = [parse(token) for token in fields]
+            # a forest leaf's counts are divided by their sum when predicting
+            if kind == "rf" and not 0 < sum(payload) < 2 ** 63:
+                reader.fail(f"leaf counts must sum to 1 .. 2**63 - 1, found {sum(payload)}")
+            leaf[i] = payload
         else:
             reader.fail(f"unknown node kind {node_kind!r}")
     return Tree(feature=feature, threshold=threshold, left=left, right=right, value=value)
@@ -178,6 +184,8 @@ def load_model(path) -> EnsembleModel:
     n_trees = reader.integer(reader.expect("n_trees")[0])
     if kind == "gbdt" and n_trees != n_rounds * n_classes:
         reader.fail(f"gbdt needs n_rounds * n_classes = {n_rounds * n_classes} trees")
+    if kind == "rf" and n_trees == 0:
+        reader.fail("a forest needs at least one tree")
 
     trees = [_read_tree(reader, t, kind, n_classes, n_features) for t in range(n_trees)]
     if reader.next() != ["end"]:

@@ -243,6 +243,27 @@ class TestErrors:
         assert code == 2
         assert "m.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", ["zero_leaf", "no_trees"])
+    def test_evaluate_rejects_rf_that_predicts_nan(self, tmp_path, capsys, pipeline_dir,
+                                                   edit):
+        model = tmp_path / "rf.txt"
+        assert run("train", "--model", "rf", "--features", pipeline_dir / "features_train.csv",
+                   "--out", model, "--n-trees", 2) == 0
+        lines = model.read_text().splitlines()
+        if edit == "zero_leaf":
+            at = next(i for i, ln in enumerate(lines) if " leaf " in ln)
+            lines[at] = " ".join(lines[at].split()[:3] + ["0", "0", "0"])
+        else:
+            at = lines.index("n_trees 2")
+            lines[at:] = ["n_trees 0", "end"]
+        model.write_text("\n".join(lines) + "\n")
+        code = run("evaluate", "--model-file", model,
+                   "--features", pipeline_dir / "features_test.csv",
+                   "--out-dir", tmp_path / "eval")
+        assert code == 2
+        assert f"rf.txt:{at + 1}: " in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
     def test_nan_signal_line_is_data_error(self, tmp_path, capsys):
         d = tmp_path / "raw"
         assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
@@ -492,9 +513,18 @@ class TestConfigFile:
         assert "n_beats must be an integer >= 1, got '5'" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal takes about a second to import; no stage needs it
-    code = "import sys, ecgbeats.cli; print('scipy.signal' in sys.modules)"
+def _loaded_after_cli_import(module: str) -> bool:
+    code = f"import sys, ecgbeats.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes about a second to import; no stage needs it
+    assert not _loaded_after_cli_import("scipy.signal")
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # only GBDT training uses concurrent.futures, and fit_gbdt imports it
+    assert not _loaded_after_cli_import("concurrent.futures")

@@ -1,20 +1,28 @@
-"""The presorted GBDT split search against the per-node-sort builder it replaced.
+"""The presorted GBDT split search against the per-node-sort builder it replaced,
+and the threaded round against the serial class-by-class loop.
 
 The reference below is the earlier engine, kept here as the oracle: it
 argsorts the node's rows at every node and gets the training scores by
 routing the training rows through each finished tree. The presorted engine
-must grow the same trees bit for bit.
+must grow the same trees bit for bit. ``fit_gbdt`` builds a round's K trees
+on up to min(K, CPUs) threads; its saved bytes must equal those of one
+thread calling ``_build_tree`` class by class, whatever the CPU count.
 """
 
+import concurrent.futures
 import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgbeats.model import GbdtParams, fit_gbdt, save_model
-from ecgbeats.model.ensemble import softmax
+from ecgbeats.model import GbdtParams, fit_gbdt, gbdt, save_model
+from ecgbeats.model.ensemble import EnsembleModel, check_training_data, softmax
 from ecgbeats.model.tree import LEAF, Tree
 
 
@@ -147,15 +155,25 @@ def test_deep_trees_equal_oracle_at_paper_settings(seed):
     assert_same_fit(x, y, GbdtParams(n_estimators=3))
 
 
-def test_saturated_probabilities_equal_oracle():
-    # a huge learning rate drives p to exactly 0 or 1, so h == 0 on whole
-    # ranges and, with lambda == 0, gain denominators hit 0
+def _saturated_fit(l2_lambda):
     rng = np.random.default_rng(3)
     x = np.round(rng.normal(size=(60, 3)), 1)
     y = (x[:, 0] > 0).astype(int) + (x[:, 1] > 0.5)
     params = GbdtParams(n_estimators=6, max_depth=3, min_data_in_leaf=1,
-                        learning_rate=40.0, l1_alpha=0.0, l2_lambda=0.0)
+                        learning_rate=40.0, l1_alpha=0.0, l2_lambda=l2_lambda)
     assert_same_fit(x, y, params)
+
+
+def test_saturated_probabilities_equal_oracle():
+    # a huge learning rate drives p to exactly 0 or 1, so h == 0 on whole
+    # ranges and, with lambda == 0, gain denominators hit 0
+    _saturated_fit(0.0)
+
+
+def test_saturated_probabilities_with_tiny_lambda_equal_oracle():
+    # H - H_L can round below 0 where the right side's h is ~0; under a tiny
+    # lambda that leaves some right-hand denominators below 0 as well
+    _saturated_fit(1e-300)
 
 
 # SHA-256 of the model file the per-node-sort engine saved for this fit (378 nodes)
@@ -171,3 +189,115 @@ def test_saved_model_bytes_pinned(tmp_path):
     save_model(model, tmp_path / "m.model")
     digest = hashlib.sha256((tmp_path / "m.model").read_bytes()).hexdigest()
     assert digest == PINNED_MODEL_SHA256
+
+
+def serial_fit(x, y, params, k):
+    """fit_gbdt's loop on one thread: _build_tree class by class, in order."""
+    x, y, k = check_training_data(x, y, k)
+    order = np.argsort(x.T, axis=1, kind="stable")
+    xs = np.take_along_axis(x.T, order, axis=1)
+    onehot = np.eye(k)[y]
+    scores = np.zeros((x.shape[0], k))
+    trees, logloss = [], []
+    for _ in range(params.n_estimators):
+        probs = softmax(scores)
+        for cls in range(k):
+            g = probs[:, cls] - onehot[:, cls]
+            h = probs[:, cls] * (1.0 - probs[:, cls])
+            trees.append(gbdt._build_tree(x, order, xs, g, h, params, scores[:, cls]))
+        probs = softmax(scores)
+        logloss.append(float(-np.mean(np.log(probs[np.arange(x.shape[0]), y]))))
+    return EnsembleModel(kind="gbdt", n_classes=k, n_features=x.shape[1],
+                         trees=trees, train_logloss=logloss)
+
+
+def saved_bytes(model):
+    with tempfile.TemporaryDirectory() as d:
+        save_model(model, Path(d) / "m.model")
+        return (Path(d) / "m.model").read_bytes()
+
+
+def assert_thread_count_invariant(x, y, params, k, cpus):
+    want = serial_fit(x, y, params, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gbdt, "_usable_cpus", lambda: cpus)
+        got = fit_gbdt(x, y, params, n_classes=k)
+    assert saved_bytes(got) == saved_bytes(want)
+    assert got.train_logloss == want.train_logloss
+
+
+@pytest.mark.parametrize("block", [1, 50])
+def test_feature_blocks_equal_oracle(monkeypatch, block):
+    # a block of 1 scans each feature on its own, 50 a few features at a time
+    monkeypatch.setattr(gbdt, "_BLOCK", block)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(120, 7))
+    x[:, 4:] = np.round(x[:, 4:], 1)
+    x[:, 6] = x[:, 0]                     # its splits tie with column 0's
+    y = np.digitize(x[:, 0] + x[:, 4] + rng.normal(0.0, 0.6, 120), [-0.5, 0.5])
+    for l2_lambda in (0.7327, 0.0):
+        assert_same_fit(x, y, GbdtParams(n_estimators=3, min_data_in_leaf=3,
+                                         l2_lambda=l2_lambda))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(tie_heavy_problems())
+def test_any_thread_count_saves_the_serial_bytes(cpus, problem):
+    # l2_lambda 0.0 and 0.7327, leaf minimums up to about n / 2
+    assert_thread_count_invariant(*problem, k=3, cpus=cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("l2_lambda", [0.7327, 0.0])
+def test_deep_trees_any_thread_count(cpus, k, l2_lambda):
+    rng = np.random.default_rng(k)
+    x = np.round(rng.normal(size=(300, 6)), 1)
+    y = np.digitize(x[:, 0] + 0.5 * x[:, 3] + rng.normal(0.0, 0.5, 300),
+                    np.linspace(-1.0, 1.0, k - 1))
+    params = GbdtParams(n_estimators=3, min_data_in_leaf=140, l2_lambda=l2_lambda)
+    assert_thread_count_invariant(x, y, params, k, cpus)
+    params = GbdtParams(n_estimators=3, min_data_in_leaf=2, l2_lambda=l2_lambda)
+    assert_thread_count_invariant(x, y, params, k, cpus)
+
+
+def test_more_threads_than_cores_under_fast_switching():
+    # eight class trees on eight workers, switching threads every microsecond:
+    # a tree that read another class's score column mid-round, or a lost
+    # write to a column, would change the saved bytes
+    rng = np.random.default_rng(11)
+    x = np.round(rng.normal(size=(200, 4)), 1)
+    y = np.digitize(x[:, 0] + x[:, 1], np.linspace(-1.5, 1.5, 7))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert_thread_count_invariant(x, y, GbdtParams(n_estimators=3, min_data_in_leaf=2),
+                                      k=8, cpus=8)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus, k, workers", [(1, 3, 1), (2, 3, 2), (8, 3, 3), (8, 2, 2)])
+def test_pool_has_min_of_classes_and_cpus_workers(monkeypatch, cpus, k, workers):
+    sizes = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: cpus)
+    fit_gbdt(np.arange(8.0)[:, None], np.arange(8) % k, GbdtParams(n_estimators=1))
+    assert sizes == [workers]
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert gbdt._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert gbdt._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert gbdt._usable_cpus() == 1

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from ecgbeats.errors import DataError, ValidationError
+from ecgbeats.errors import DataError, ParseError, ValidationError
 from ecgbeats.model import (GbdtParams, RfParams, fit_gbdt,
                             fit_random_forest, grid_search, load_model,
                             predict_batch, predict_proba, save_model,
@@ -300,6 +300,13 @@ def _saved_gbdt_lines(tmp_path):
     return (tmp_path / "m.txt").read_text().splitlines()
 
 
+def _saved_rf_lines(tmp_path):
+    rows, labels = blobs(seed=4)
+    save_model(fit_random_forest(rows, labels, RfParams(n_trees=1, seed=1)),
+               tmp_path / "rf.txt")
+    return (tmp_path / "rf.txt").read_text().splitlines()
+
+
 def _load_edited(tmp_path, lines):
     (tmp_path / "edited.txt").write_text("\n".join(lines) + "\n")
     return load_model(tmp_path / "edited.txt")
@@ -365,13 +372,29 @@ class TestModelFileValidation:
             _load_edited(tmp_path, lines)
 
     def test_rf_negative_count(self, tmp_path):
-        rows, labels = blobs(seed=4)
-        save_model(fit_random_forest(rows, labels, RfParams(n_trees=1, seed=1)),
-                   tmp_path / "rf.txt")
-        lines = (tmp_path / "rf.txt").read_text().splitlines()
+        lines = _saved_rf_lines(tmp_path)
         at = next(i for i, ln in enumerate(lines) if " leaf " in ln)
         lines[at] = " ".join(lines[at].split()[:3] + ["-1", "0", "0"])
         with pytest.raises(DataError):
+            _load_edited(tmp_path, lines)
+
+    @pytest.mark.parametrize("counts", [
+        ["0", "0", "0"],                                    # 0 / 0 when predicting
+        ["9223372036854775807", "1", "0"],                  # the int64 sum wraps
+        ["99999999999999999999", "0", "0"],                 # no int64 at all
+    ])
+    def test_rf_leaf_counts_must_sum_to_a_positive_int64(self, tmp_path, counts):
+        lines = _saved_rf_lines(tmp_path)
+        at = next(i for i, ln in enumerate(lines) if " leaf " in ln)
+        lines[at] = " ".join(lines[at].split()[:3] + counts)
+        with pytest.raises(ParseError, match=rf"edited\.txt:{at + 1}: leaf counts must sum"):
+            _load_edited(tmp_path, lines)
+
+    def test_rf_without_trees(self, tmp_path):
+        lines = _saved_rf_lines(tmp_path)
+        at = lines.index("n_trees 1")
+        lines[at:] = ["n_trees 0", "end"]
+        with pytest.raises(ParseError, match=rf"edited\.txt:{at + 1}: a forest needs"):
             _load_edited(tmp_path, lines)
 
     def test_binary_file(self, tmp_path):
