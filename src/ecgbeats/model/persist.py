@@ -25,8 +25,11 @@ Loading checks every record: each split node i needs i < left, right < M and
 0 <= feature < F (so routing always ends at a leaf), and numbers must parse,
 thresholds and leaf values as finite floats. A forest has at least one tree
 and each of its leaves' counts sums to 1 .. 2**63 - 1, so its probabilities
-are never 0 / 0 or an int64 overflow. A malformed file raises ParseError, a
-DataError naming the file and line.
+are never 0 / 0 or an int64 overflow. A GBDT class's score is one leaf per
+tree summed, so its trees' largest |leaf| values must sum below half the
+float64 maximum: its scores, and their differences in the softmax, then stay
+finite, never inf - inf = NaN. A malformed file raises ParseError, a DataError
+naming the file and line.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from .tree import LEAF, Tree
 
 FORMAT_NAME = "ecgbeats-model"
 FORMAT_VERSION = 1
+# a bound on every GBDT class score: differences of two such scores stay finite
+_SCORE_LIMIT = float(np.finfo(float).max) / 2
 
 
 def save_model(model: EnsembleModel, path) -> None:
@@ -187,7 +192,14 @@ def load_model(path) -> EnsembleModel:
     if kind == "rf" and n_trees == 0:
         reader.fail("a forest needs at least one tree")
 
-    trees = [_read_tree(reader, t, kind, n_classes, n_features) for t in range(n_trees)]
+    trees, reach = [], [0.0] * n_classes      # per GBDT class: sum of max |leaf|
+    for t in range(n_trees):
+        trees.append(_read_tree(reader, t, kind, n_classes, n_features))
+        if kind == "gbdt":
+            reach[t % n_classes] += float(np.abs(trees[-1].value).max())
+            if not reach[t % n_classes] < _SCORE_LIMIT:
+                reader.fail(f"class {t % n_classes}'s leaf values sum past "
+                            f"{_SCORE_LIMIT:.3g}, so its scores can overflow")
     if reader.next() != ["end"]:
         reader.fail("missing end marker")
     return EnsembleModel(kind=kind, n_classes=n_classes, n_features=n_features, trees=trees)

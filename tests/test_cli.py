@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +266,55 @@ class TestErrors:
         assert f"rf.txt:{at + 1}: " in capsys.readouterr().err
         assert not (tmp_path / "eval" / "metrics.csv").exists()
 
+    def test_evaluate_rejects_gbdt_whose_scores_overflow(self, tmp_path, capsys,
+                                                         pipeline_dir):
+        model = tmp_path / "m.txt"
+        assert run("train", "--features", pipeline_dir / "features_train.csv",
+                   "--out", model, "--n-estimators", 2, "--max-depth", 2,
+                   "--min-data-in-leaf", 2) == 0
+        lines = model.read_text().splitlines()
+        for i, line in enumerate(lines):
+            if " leaf " in line:
+                lines[i] = " ".join(line.split()[:3] + ["1e308"])
+        model.write_text("\n".join(lines) + "\n")
+        code = run("evaluate", "--model-file", model,
+                   "--features", pipeline_dir / "features_test.csv",
+                   "--out-dir", tmp_path / "eval")
+        assert code == 2
+        assert "m.txt:" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    def test_killed_gbdt_worker_is_one_error_line(self, tmp_path, pipeline_dir):
+        # the first worker to build a tree SIGKILLs itself, as the OOM killer
+        # would: exit 2 with one line, no model file, and no hang
+        script = "\n".join([
+            "import os, signal, sys",
+            "from ecgbeats import cli",
+            "from ecgbeats.model import gbdt",
+            "build = gbdt._build_tree",
+            "def killing_build(*args):",
+            "    try:",
+            "        os.close(os.open(sys.argv[1], os.O_CREAT | os.O_EXCL))",
+            "    except FileExistsError:",
+            "        return build(*args)",
+            "    os.kill(os.getpid(), signal.SIGKILL)",
+            "gbdt._build_tree = killing_build",
+            "gbdt._usable_cpus = lambda: 2",
+            "sys.exit(cli.main(sys.argv[2:]))",
+        ])
+        model = tmp_path / "m.txt"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(     # a hang is a TimeoutExpired failure
+            [sys.executable, "-c", script, str(tmp_path / "killed"), "train",
+             "--features", str(pipeline_dir / "features_train.csv"), "--out", str(model),
+             "--n-estimators", "3", "--max-depth", "2", "--min-data-in-leaf", "2"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: GBDT worker process died in round 1 ")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert (tmp_path / "killed").exists()
+        assert not model.exists()
+
     def test_nan_signal_line_is_data_error(self, tmp_path, capsys):
         d = tmp_path / "raw"
         assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
@@ -525,6 +576,7 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert not _loaded_after_cli_import("scipy.signal")
 
 
-def test_cli_import_leaves_thread_pool_unloaded():
-    # only GBDT training uses concurrent.futures, and fit_gbdt imports it
+def test_cli_import_leaves_process_pool_unloaded():
+    # only GBDT training uses a process pool, and fit_gbdt imports it
     assert not _loaded_after_cli_import("concurrent.futures")
+    assert not _loaded_after_cli_import("multiprocessing")

@@ -1,16 +1,17 @@
 """The presorted GBDT split search against the per-node-sort builder it replaced,
-and the threaded round against the serial class-by-class loop.
+and the round's worker processes against the serial class-by-class loop.
 
 The reference below is the earlier engine, kept here as the oracle: it
 argsorts the node's rows at every node and gets the training scores by
 routing the training rows through each finished tree. The presorted engine
 must grow the same trees bit for bit. ``fit_gbdt`` builds a round's K trees
-on up to min(K, CPUs) threads; its saved bytes must equal those of one
-thread calling ``_build_tree`` class by class, whatever the CPU count.
+in min(K, CPUs) forked worker processes; its saved bytes must equal those of
+one process calling ``_build_tree`` class by class, whatever the CPU count.
 """
 
 import concurrent.futures
 import hashlib
+import multiprocessing
 import os
 import sys
 import tempfile
@@ -263,9 +264,10 @@ def test_deep_trees_any_thread_count(cpus, k, l2_lambda):
 
 
 def test_more_threads_than_cores_under_fast_switching():
-    # eight class trees on eight workers, switching threads every microsecond:
-    # a tree that read another class's score column mid-round, or a lost
-    # write to a column, would change the saved bytes
+    # eight class trees on eight workers, more than there are cores, with the
+    # fitting process switching threads every microsecond: a tree that read
+    # another class's score column mid-round, or a lost write to a column,
+    # would change the saved bytes
     rng = np.random.default_rng(11)
     x = np.round(rng.normal(size=(200, 4)), 1)
     y = np.digitize(x[:, 0] + x[:, 1], np.linspace(-1.5, 1.5, 7))
@@ -278,19 +280,42 @@ def test_more_threads_than_cores_under_fast_switching():
         sys.setswitchinterval(interval)
 
 
+def record_pools(monkeypatch):
+    """The (workers, start method) of every process pool fit_gbdt starts."""
+    pools = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append((max_workers, kwargs["mp_context"].get_start_method()))
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return pools
+
+
 @pytest.mark.parametrize("cpus, k, workers", [(1, 3, 1), (2, 3, 2), (8, 3, 3), (8, 2, 2)])
 def test_pool_has_min_of_classes_and_cpus_workers(monkeypatch, cpus, k, workers):
-    sizes = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    # one worker starts no pool: the round runs in-process
+    pools = record_pools(monkeypatch)
     monkeypatch.setattr(gbdt, "_usable_cpus", lambda: cpus)
     fit_gbdt(np.arange(8.0)[:, None], np.arange(8) % k, GbdtParams(n_estimators=1))
-    assert sizes == [workers]
+    assert pools == ([(workers, "fork")] if workers > 1 else [])
+    assert gbdt._served is None          # set in the workers only
+
+
+def test_without_fork_the_round_runs_in_process(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = np.round(rng.normal(size=(300, 6)), 1)
+    y = np.digitize(x[:, 0] + 0.5 * x[:, 3] + rng.normal(0.0, 0.5, 300), [-0.5, 0.5])
+    params = GbdtParams(n_estimators=3, min_data_in_leaf=2)
+    want = serial_fit(x, y, params, 3)
+    pools = record_pools(monkeypatch)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: 3)
+    got = fit_gbdt(x, y, params)
+    assert pools == []
+    assert saved_bytes(got) == saved_bytes(want)
+    assert got.train_logloss == want.train_logloss
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):

@@ -292,9 +292,9 @@ class TestPersistence:
             load_model(tmp_path / "trunc.txt")
 
 
-def _saved_gbdt_lines(tmp_path):
+def _saved_gbdt_lines(tmp_path, n_estimators=1):
     rows, labels = blobs(seed=4)
-    model = fit_gbdt(rows, labels, GbdtParams(n_estimators=1, max_depth=3,
+    model = fit_gbdt(rows, labels, GbdtParams(n_estimators=n_estimators, max_depth=3,
                                               min_data_in_leaf=2))
     save_model(model, tmp_path / "m.txt")
     return (tmp_path / "m.txt").read_text().splitlines()
@@ -395,6 +395,26 @@ class TestModelFileValidation:
         at = lines.index("n_trees 1")
         lines[at:] = ["n_trees 0", "end"]
         with pytest.raises(ParseError, match=rf"edited\.txt:{at + 1}: a forest needs"):
+            _load_edited(tmp_path, lines)
+
+    def test_gbdt_class_scores_must_stay_finite(self, tmp_path):
+        # a 2-round model with every leaf set to one value: each class's
+        # scores reach twice that value (at 1e308 a leaf the sum is inf, and
+        # the softmax's inf - inf makes every probability NaN)
+        def every_leaf(value):
+            lines = _saved_gbdt_lines(tmp_path, n_estimators=2)
+            for i, line in enumerate(lines):
+                if " leaf " in line:
+                    lines[i] = " ".join(line.split()[:3] + [value])
+            return lines
+
+        # 8e307 lies inside half the float64 maximum
+        probs = predict_proba(_load_edited(tmp_path, every_leaf("4e307")), blobs(seed=4)[0])
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+        # 1.2e308 lies past it; tree 3, class 0's second, takes that class there
+        lines = every_leaf("6e307")
+        at = next(i for i, ln in enumerate(lines) if ln.startswith("tree 4 "))
+        with pytest.raises(ParseError, match=rf"edited\.txt:{at}: class 0's leaf values sum"):
             _load_edited(tmp_path, lines)
 
     def test_binary_file(self, tmp_path):
