@@ -142,7 +142,7 @@ def cmd_synth(args) -> int:
     record = synth_mod.generate(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    record_io.write_signal_csv(out / "signal.csv", record.leads[0])
+    record_io.write_signal_csv(out / "signal.csv", record.signal)
     record_io.write_annotations_csv(out / "annotations.csv", record.rpeaks, record.labels)
     _write_manifest(out / "signal.csv", "synth", args)
     print(f"synth: wrote {len(record.rpeaks)} beats at {args.fs} Hz to {out}")
@@ -164,7 +164,7 @@ def cmd_preprocess(args) -> int:
                                             strict=args.strict)
     processed = preprocess_mod.preprocess_record(record, to_hz=args.target_fs,
                                                  low=args.low_hz, high=args.high_hz)
-    if not np.isfinite(processed.leads[0]).all():
+    if not np.isfinite(processed.signal).all():
         raise DataError(f"{args.signal}: the filtered signal is not finite "
                         "(samples too large to filter)")
     beats, dropped = preprocess_mod.segment_beats(processed, label_set)

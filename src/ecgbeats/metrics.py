@@ -7,7 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
+from .record_io import csv_rows, parse_number
+
+METRICS_HEADER = ["model", "precision", "recall", "accuracy", "f1"]
 
 
 def check_labels(labels, n_classes: int) -> None:
@@ -79,19 +82,31 @@ def format_report(reports) -> str:
 def write_metrics_csv(path, reports) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["model", "precision", "recall", "accuracy", "f1"])
+        writer.writerow(METRICS_HEADER)
         for r in reports:
             writer.writerow([r.name, f"{r.precision:.6f}", f"{r.recall:.6f}",
                              f"{r.accuracy:.6f}", f"{r.f1:.6f}"])
 
 
 def read_metrics_csv(path):
+    """Read the reports write_metrics_csv wrote. A wrong header, a row without
+    5 fields or a metric that is not a number in [0, 1] is a ParseError at its
+    line."""
+    rows = csv_rows(path)
+    if next(rows, (1, []))[1] != METRICS_HEADER:
+        raise ParseError(path, 1, f"expected header '{','.join(METRICS_HEADER)}'")
     reports = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            reports.append(ModelReport(
-                name=row["model"], precision=float(row["precision"]),
-                recall=float(row["recall"]), f1=float(row["f1"]),
-                accuracy=float(row["accuracy"])))
+    for line_no, row in rows:
+        if not row:
+            continue
+        if len(row) != len(METRICS_HEADER):
+            raise ParseError(path, line_no,
+                             f"expected {len(METRICS_HEADER)} columns, got {len(row)}")
+        values = [parse_number(token) for token in row[1:]]
+        for token, value in zip(row[1:], values):
+            if value is None or not 0 <= value <= 1:
+                raise ParseError(path, line_no, f"metric {token!r} is not a number in [0, 1]")
+        precision, recall, accuracy, f1 = values
+        reports.append(ModelReport(name=row[0], precision=precision, recall=recall,
+                                   f1=f1, accuracy=accuracy))
     return reports

@@ -1,5 +1,6 @@
-"""Signal conditioning: resample to 180 Hz, 0.5-35 Hz band-pass, fixed-size
-beat segmentation around annotated R-peaks, per-beat min-max normalization.
+"""Signal conditioning of a record's one signal: ``preprocess_record`` resamples
+it to 180 Hz and band-passes it at 0.5-35 Hz; ``segment_beats`` cuts fixed-size
+beats around the annotated R-peaks and ``normalize_beats`` min-max scales each.
 
 The band-pass is numpy and plain Python, with no scipy import; its design
 and its forward-backward filtering are bit-equal to scipy.signal's ``butter``
@@ -186,41 +187,29 @@ def bandpass_filter(signal, fs: float, low: float = BAND_LOW_HZ,
     return np.array(backward[::-1][edge:edge + x.shape[0]])
 
 
-def resample_record(record: EcgRecord, to_hz: float = TARGET_FS) -> EcgRecord:
-    """Resample every lead and remap R-peak indices onto the new grid."""
-    if record.fs == to_hz:
-        return record
-    scale = to_hz / record.fs
-    leads = [resample(lead, record.fs, to_hz) for lead in record.leads]
-    n_out = leads[0].shape[0]
-    rpeaks = np.minimum(np.rint(record.rpeaks * scale).astype(int), n_out - 1)
-    if np.any(np.diff(rpeaks) <= 0):
-        raise ValidationError("R-peaks collided while resampling")
-    return EcgRecord(leads=leads, fs=to_hz, rpeaks=rpeaks, labels=list(record.labels))
-
-
-def filter_record(record: EcgRecord, low: float = BAND_LOW_HZ,
-                  high: float = BAND_HIGH_HZ) -> EcgRecord:
-    leads = [bandpass_filter(lead, record.fs, low, high) for lead in record.leads]
-    return EcgRecord(leads=leads, fs=record.fs, rpeaks=record.rpeaks.copy(),
+def preprocess_record(record: EcgRecord, to_hz: float = TARGET_FS,
+                      low: float = BAND_LOW_HZ, high: float = BAND_HIGH_HZ) -> EcgRecord:
+    """Resample to to_hz (remapping the R-peaks onto the new grid), then band-pass."""
+    signal, fs, rpeaks = record.signal, record.fs, record.rpeaks
+    if fs != to_hz:
+        signal = resample(signal, fs, to_hz)
+        rpeaks = np.minimum(np.rint(rpeaks * (to_hz / fs)).astype(int), signal.shape[0] - 1)
+        if np.any(np.diff(rpeaks) <= 0):
+            raise ValidationError("R-peaks collided while resampling")
+        fs = to_hz
+    return EcgRecord(signal=bandpass_filter(signal, fs, low, high), fs=fs, rpeaks=rpeaks,
                      labels=list(record.labels))
 
 
-def preprocess_record(record: EcgRecord, to_hz: float = TARGET_FS,
-                      low: float = BAND_LOW_HZ, high: float = BAND_HIGH_HZ) -> EcgRecord:
-    """Resample then band-pass, in that order."""
-    return filter_record(resample_record(record, to_hz), low, high)
-
-
 def segment_beats(record: EcgRecord, label_set: LabelSet = LabelSet()):
-    """Cut lead 0 of the record into 70-sample beats around each R-peak.
+    """Cut the record's signal into 70-sample beats around each R-peak.
 
     A beat is kept only when the window [r-35, r+35) fits inside the record
     and the peak has both a predecessor and a successor (the RR features need
     both). Returns ``(beats, dropped_count)``; kept + dropped equals the
     R-peak count.
     """
-    signal, rpeaks = record.leads[0], record.rpeaks
+    signal, rpeaks = record.signal, record.rpeaks
     keep = (rpeaks >= HALF_WINDOW) & (rpeaks + HALF_WINDOW <= signal.shape[0])
     keep[:1] = keep[-1:] = False
     idx = np.flatnonzero(keep)

@@ -1,10 +1,12 @@
-"""Disk formats: signal/annotation CSVs, feature matrices, raw images, models.
+"""Disk formats (signal/annotation CSVs, feature matrices, raw images) and the
+in-memory ``EcgRecord`` (one 1-D signal) and ``Beats``.
 
 Formats are deliberately plain so every artifact can be inspected with a
 text editor or `xxd`:
 
-* signal CSV      -- no header, one row per sample, 1-2 numeric columns (mV)
-* annotation CSV  -- header ``sample_index,label``
+* signal CSV      -- no header, one row per sample, 1-2 numeric columns (mV);
+  ``load_record`` takes one column, ``lead_select``, as the record's signal
+* annotation CSV  -- header ``sample_index,label``, an ASCII decimal index
 * feature CSV     -- header ``f0..f75,label``, 9 significant digits
 * beats CSV       -- header ``s0..s69,rpeak,label,rr_prev,rr_next,raw_amp``,
   one row per beat of a ``Beats``
@@ -62,31 +64,34 @@ class LabelSet:
 
 @dataclass
 class EcgRecord:
-    """Raw multi-lead signal with R-peak positions and one label per peak."""
+    """One raw ECG signal with R-peak positions and one label per peak."""
 
-    leads: list          # list of 1-D float arrays, all the same length
+    signal: np.ndarray   # 1-D float samples, mV
     fs: float            # sampling rate, Hz
     rpeaks: np.ndarray   # strictly increasing sample indices
     labels: list         # one symbol per R-peak
 
     def __post_init__(self):
-        self.leads = [np.asarray(lead, dtype=float) for lead in self.leads]
+        self.signal = np.asarray(self.signal, dtype=float)
         self.rpeaks = np.asarray(self.rpeaks, dtype=int)
-        if not 1 <= len(self.leads) <= 2:
-            raise ValidationError(f"expected 1-2 leads, got {len(self.leads)}")
+        if self.signal.ndim != 1:
+            raise ValidationError(f"expected a 1-D signal, got shape {self.signal.shape}")
         if self.fs <= 0:
             raise ValidationError(f"sampling rate must be positive, got {self.fs}")
-        n = self.leads[0].shape[0]
-        if any(lead.shape[0] != n for lead in self.leads):
-            raise ValidationError("all leads must have the same length")
         if len(self.labels) != len(self.rpeaks):
             raise ValidationError(
                 f"{len(self.labels)} labels for {len(self.rpeaks)} R-peaks"
             )
-        if len(self.rpeaks) and (self.rpeaks[0] < 0 or self.rpeaks[-1] >= n):
+        if len(self.rpeaks) and (self.rpeaks[0] < 0 or self.rpeaks[-1] >= self.signal.shape[0]):
             raise ValidationError("R-peak index outside the signal")
         if np.any(np.diff(self.rpeaks) <= 0):
             raise ValidationError("R-peak indices must be strictly increasing")
+
+    @property
+    def leads(self) -> list:
+        """``[signal]`` for its one reader, ``set_up`` in ``perfbench/run.py``.
+        ROADMAP item 1 deletes it when ``set_up`` moves onto a ``record_io`` helper."""
+        return [self.signal]
 
 
 @dataclass
@@ -210,7 +215,7 @@ def _raise_first_bad_line(path, has_header, widths, int_cols) -> None:
             elif len(tokens) != width:
                 raise ParseError(path, line_no, f"expected {width} columns, got {len(tokens)}")
             for col, token in enumerate(tokens):
-                value = _parse_number(token)
+                value = parse_number(token)
                 if value is None:
                     raise ParseError(path, line_no, f"non-numeric value {token!r}")
                 if not math.isfinite(value):
@@ -219,14 +224,37 @@ def _raise_first_bad_line(path, has_header, widths, int_cols) -> None:
                     raise ParseError(path, line_no, f"non-integer value {token!r}")
 
 
-def _parse_number(token: str):
-    """``float(token)`` for the plain ASCII numerals numpy's parser takes, else None."""
+def parse_number(token: str, kind=float):
+    """``kind(token)`` for the plain ASCII numerals numpy's parser takes, else None
+    (``int`` and ``float`` alone also read ``_`` separators and non-ASCII digits)."""
     if not token.isascii() or "_" in token:
         return None
     try:
-        return float(token)
+        return kind(token)
     except ValueError:
         return None
+
+
+def csv_rows(path):
+    """Yield ``(line_no, fields)`` for each row of a UTF-8 CSV file; a blank
+    line is an empty row. An undecodable byte, or a row the csv module refuses
+    (a field over its size limit), is a ParseError at its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, raw.count(b"\n", 0, exc.start) + 1,
+                         f"undecodable byte {raw[exc.start]:#04x}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, str(exc)) from None
+        yield reader.line_num, row
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +262,7 @@ def _parse_number(token: str):
 # ---------------------------------------------------------------------------
 
 def read_signal_csv(path) -> np.ndarray:
-    """Read a headerless numeric CSV into an (n_samples, n_leads) array."""
+    """Read a headerless numeric CSV into an (n_samples, n_columns) array."""
     samples = read_numeric_csv(path, widths=range(1, 3))
     if samples.shape[0] == 0:
         raise DataError(f"{path}: empty signal file")
@@ -243,26 +271,18 @@ def read_signal_csv(path) -> np.ndarray:
 
 def read_annotations_csv(path) -> list:
     """Read ``sample_index,label`` rows; returns [(index, symbol), ...] unsorted."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, raw.count(b"\n", 0, exc.start) + 1,
-                         f"undecodable byte {raw[exc.start]:#04x}") from None
     out = []
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:2]] != ["sample_index", "label"]:
+    rows = csv_rows(path)
+    _, header = next(rows, (1, []))
+    if [h.strip() for h in header[:2]] != ["sample_index", "label"]:
         raise ParseError(path, 1, "expected header 'sample_index,label'")
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in rows:
         if not row:
             continue
         if len(row) < 2:
             raise ParseError(path, line_no, f"expected 2 columns, got {len(row)}")
-        try:
-            idx = int(row[0])
-        except ValueError:
+        idx = parse_number(row[0], int)
+        if idx is None:
             raise ParseError(path, line_no, f"non-integer sample index {row[0]!r}")
         if not -2**63 <= idx < 2**63:
             raise ParseError(path, line_no, f"sample index {row[0]!r} outside int64")
@@ -282,7 +302,7 @@ def write_annotations_csv(path, rpeaks, labels) -> None:
         writer.writerows(zip(np.asarray(rpeaks, dtype=int).tolist(), labels))
 
 
-def load_record(signal_path, annotation_path, fs: float, lead_select: int | None = 0,
+def load_record(signal_path, annotation_path, fs: float, lead_select: int = 0,
                 label_set: LabelSet = LabelSet(), strict: bool = False):
     """Load a record from a signal CSV plus an annotation CSV.
 
@@ -305,17 +325,12 @@ def load_record(signal_path, annotation_path, fs: float, lead_select: int | None
         rpeaks.append(idx)
         labels.append(sym)
 
-    if lead_select is None:
-        leads = [samples[:, i] for i in range(samples.shape[1])]
-    else:
-        if not (is_int(lead_select) and 0 <= lead_select < samples.shape[1]):
-            raise ValidationError(
-                f"lead {lead_select!r} not available ({samples.shape[1]} leads)"
-            )
-        leads = [samples[:, lead_select]]
-
-    record = EcgRecord(leads=leads, fs=fs, rpeaks=np.asarray(rpeaks, dtype=int),
-                       labels=labels)
+    if not (is_int(lead_select) and 0 <= lead_select < samples.shape[1]):
+        raise ValidationError(
+            f"lead {lead_select!r} not available ({samples.shape[1]} columns)"
+        )
+    record = EcgRecord(signal=samples[:, lead_select], fs=fs,
+                       rpeaks=np.asarray(rpeaks, dtype=int), labels=labels)
     return record, skipped
 
 

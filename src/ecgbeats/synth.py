@@ -96,4 +96,4 @@ def generate(cfg: SynthConfig) -> EcgRecord:
         signal += rng.normal(0.0, cfg.noise_std, size=n)
 
     rpeaks = np.rint(times * cfg.fs).astype(int)
-    return EcgRecord(leads=[signal], fs=cfg.fs, rpeaks=rpeaks, labels=schedule)
+    return EcgRecord(signal=signal, fs=cfg.fs, rpeaks=rpeaks, labels=schedule)

@@ -35,7 +35,7 @@ class OracleBeat:
 
 
 def oracle_segment_beats(record, label_set=LabelSet()):
-    signal = record.leads[0]
+    signal = record.signal
     n = signal.shape[0]
     rpeaks = record.rpeaks
     beats, dropped = [], 0
@@ -146,7 +146,7 @@ def records(draw):
     labels = draw(st.lists(st.sampled_from(["N", "S", "V", "N", "S", "V", "Q"]),
                            min_size=len(rpeaks), max_size=len(rpeaks)))
     fs = draw(st.sampled_from([180.0, 250.0, 360.0, 1.0 / 3.0]))
-    return EcgRecord(leads=[signal], fs=fs, rpeaks=np.asarray(rpeaks, dtype=int),
+    return EcgRecord(signal=signal, fs=fs, rpeaks=np.asarray(rpeaks, dtype=int),
                      labels=labels)
 
 
@@ -164,7 +164,7 @@ def test_array_path_bit_equal_to_per_beat_oracle(record):
 ])
 def test_edge_and_flat_windows_match_oracle(signal, rpeaks):
     labels = ["NSV"[i % 3] for i in range(len(rpeaks))]
-    record = EcgRecord(leads=[signal], fs=180.0, rpeaks=rpeaks, labels=labels)
+    record = EcgRecord(signal=signal, fs=180.0, rpeaks=rpeaks, labels=labels)
     assert len(oracle_segment_beats(record)[0]) > 0
     assert_pipeline_matches_oracle(record)
 
@@ -203,7 +203,7 @@ def test_rr_logs_are_libm_logs():
 
 
 def test_unknown_label_on_a_kept_beat_rejected():
-    record = EcgRecord(leads=[np.arange(300.0)], fs=180.0, rpeaks=[50, 120, 190, 260],
+    record = EcgRecord(signal=np.arange(300.0), fs=180.0, rpeaks=[50, 120, 190, 260],
                        labels=["Q", "N", "Q", "N"])
     with pytest.raises(ValidationError, match="unknown label symbol 'Q'"):
         segment_beats(record)

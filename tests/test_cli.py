@@ -381,6 +381,51 @@ class TestErrors:
         assert "annotations.csv:2: sample index '99999999999999999999999' outside int64" in err
         assert not (tmp_path / "pre").exists()
 
+    @pytest.mark.parametrize("index", ["1_0", "\u0663"])
+    def test_annotation_index_numpy_would_refuse_is_data_error(self, tmp_path, capsys,
+                                                                index):
+        # int() reads digit separators and non-ASCII digits; the signal reader does not
+        d = tmp_path / "raw"
+        assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
+        (d / "annotations.csv").write_text(f"sample_index,label\n 7 ,N\n{index},N\n",
+                                           encoding="utf-8")
+        code = run("preprocess", "--signal", d / "signal.csv",
+                   "--annotations", d / "annotations.csv", "--fs", 250,
+                   "--out-dir", tmp_path / "pre")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"annotations.csv:3: non-integer sample index {index!r}" in err
+        assert not (tmp_path / "pre").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("model,precision,recall,accuracy,f1\ngbdt,abc,0.9,0.9,0.9\n",
+         "metrics.csv:2: metric 'abc' is not a number in [0, 1]"),
+        ("name,precision,recall,accuracy,f1\ngbdt,0.9,0.9,0.9,0.9\n",
+         "metrics.csv:1: expected header 'model,precision,recall,accuracy,f1'"),
+        ("model,precision,recall,accuracy,f1\ngbdt,0.9,0.9,0.9,0.9\nrf,0.9,0.9\n",
+         "metrics.csv:3: expected 5 columns, got 3"),
+        ("model,precision,recall,accuracy,f1\ngbdt,0.9,nan,0.9,0.9\n",
+         "metrics.csv:2: metric 'nan' is not a number in [0, 1]"),
+        ("model,precision,recall,accuracy,f1\ngbdt,0.9,0.9,inf,0.9\n",
+         "metrics.csv:2: metric 'inf' is not a number in [0, 1]"),
+        ("model,precision,recall,accuracy,f1\ngbdt,0.9,0.9,0.9,1_0\n",
+         "metrics.csv:2: metric '1_0' is not a number in [0, 1]"),
+        ("model,precision,recall,accuracy,f1\n\xe9,0.9,0.9,0.9,0.9\n",
+         "metrics.csv:2: undecodable byte 0xe9"),
+        ("model,precision,recall,accuracy,f1\n" + "x" * 200_000 + ",0.9,0.9,0.9,0.9\n",
+         "metrics.csv:2: field larger than field limit (131072)"),
+    ])
+    def test_malformed_metrics_csv_is_data_error(self, tmp_path, capsys, text, message):
+        good = tmp_path / "good.csv"
+        good.write_text("model,precision,recall,accuracy,f1\nrf,0.5,0.5,0.5,0.5\n")
+        (tmp_path / "metrics.csv").write_bytes(text.encode("latin-1"))
+        code = run("report", "--metrics", good, tmp_path / "metrics.csv",
+                   "--out", tmp_path / "report.txt")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {tmp_path / message}"]
+        assert not (tmp_path / "report.txt").exists()
+
     def test_duplicate_target_symbol_is_validation_error(self, tmp_path, capsys,
                                                         pipeline_dir):
         code = run("balance", "--features", pipeline_dir / "features_train.csv",

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from ecgbeats.errors import ValidationError
 from ecgbeats.preprocess import (BEAT_LEN, bandpass_filter, normalize_beats,
-                                 preprocess_record, resample, resample_record,
-                                 segment_beats)
+                                 preprocess_record, resample, segment_beats)
 from ecgbeats.record_io import Beats, EcgRecord
 from tests.helpers import analytic_bandpass_db
 
@@ -105,7 +104,7 @@ class TestBandpass:
 
 def _record(n, rpeaks, labels=None, fs=FS):
     labels = labels or ["N"] * len(rpeaks)
-    return EcgRecord(leads=[np.arange(n, dtype=float)], fs=fs,
+    return EcgRecord(signal=np.arange(n, dtype=float), fs=fs,
                      rpeaks=np.asarray(rpeaks, dtype=int), labels=labels)
 
 
@@ -119,7 +118,7 @@ class TestSegmentBeats:
         assert beats.rr_next[0] == pytest.approx(40.0 / FS)
 
     def test_empty_rpeaks(self):
-        record = EcgRecord(leads=[np.zeros(100)], fs=FS,
+        record = EcgRecord(signal=np.zeros(100), fs=FS,
                            rpeaks=np.array([], dtype=int), labels=[])
         beats, dropped = segment_beats(record)
         assert len(beats) == 0 and dropped == 0
@@ -191,14 +190,14 @@ class TestNormalize:
 class TestRecordPipeline:
     def test_resample_record_remaps_rpeaks(self):
         record = _record(250, [100], fs=250.0)
-        out = resample_record(record, 180.0)
+        out = preprocess_record(record, 180.0)
         assert out.fs == 180.0
         assert out.rpeaks.tolist() == [72]  # round(100 * 180/250)
 
     def test_emitted_beats_satisfy_invariants(self):
         rng = np.random.default_rng(1)
         n = 2000
-        record = EcgRecord(leads=[rng.normal(size=n)], fs=250.0,
+        record = EcgRecord(signal=rng.normal(size=n), fs=250.0,
                            rpeaks=np.arange(100, n - 100, 150),
                            labels=["N"] * len(np.arange(100, n - 100, 150)))
         processed = preprocess_record(record)

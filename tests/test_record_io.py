@@ -53,6 +53,12 @@ class TestLoadRecord:
         with pytest.raises(ParseError, match=":2:"):
             load_record(sig, ann, fs=250.0)
 
+    def test_oversized_annotation_field_reports_line_number(self, tmp_path):
+        sig = _write(tmp_path / "s.csv", "0.0\n0.0\n0.0\n")
+        ann = _write(tmp_path / "a.csv", "sample_index,label\n1,N\n2," + "N" * 200_000 + "\n")
+        with pytest.raises(ParseError, match=":3: field larger than field limit"):
+            load_record(sig, ann, fs=250.0)
+
     def test_duplicate_rpeaks_rejected(self, tmp_path):
         sig = _write(tmp_path / "s.csv", "0.0\n0.0\n0.0\n")
         ann = _write(tmp_path / "a.csv", "sample_index,label\n1,N\n1,V\n")
@@ -69,16 +75,17 @@ class TestLoadRecord:
         sig = _write(tmp_path / "s.csv", "0.0,1.0\n0.1,1.1\n0.2,1.2\n")
         ann = _write(tmp_path / "a.csv", "sample_index,label\n1,N\n")
         record, _ = load_record(sig, ann, fs=250.0, lead_select=1)
-        assert np.allclose(record.leads[0], [1.0, 1.1, 1.2])
-        with pytest.raises(ValidationError):
-            load_record(sig, ann, fs=250.0, lead_select=2)
+        assert np.allclose(record.signal, [1.0, 1.1, 1.2])
+        for lead in (2, None):
+            with pytest.raises(ValidationError, match=f"lead {lead} not available"):
+                load_record(sig, ann, fs=250.0, lead_select=lead)
 
     def test_signal_annotation_round_trip(self, tmp_path):
         signal = np.linspace(-1, 1, 50)
         write_signal_csv(tmp_path / "s.csv", signal)
         write_annotations_csv(tmp_path / "a.csv", [3, 17, 40], ["N", "V", "S"])
         record, _ = load_record(tmp_path / "s.csv", tmp_path / "a.csv", fs=250.0)
-        assert np.allclose(record.leads[0], signal, atol=1e-9)
+        assert np.allclose(record.signal, signal, atol=1e-9)
         assert record.rpeaks.tolist() == [3, 17, 40]
 
 
@@ -185,11 +192,11 @@ class TestImageExport:
 
 class TestEcgRecordInvariants:
     def test_too_many_leads(self):
-        with pytest.raises(ValidationError):
-            EcgRecord(leads=[np.zeros(5)] * 3, fs=250.0,
+        with pytest.raises(ValidationError, match="expected a 1-D signal"):
+            EcgRecord(signal=np.zeros((5, 2)), fs=250.0,
                       rpeaks=np.array([1]), labels=["N"])
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValidationError):
-            EcgRecord(leads=[np.zeros(5)], fs=250.0,
+            EcgRecord(signal=np.zeros(5), fs=250.0,
                       rpeaks=np.array([1, 3]), labels=["N"])
