@@ -6,8 +6,10 @@ its seed, so reruns are byte-identical. Each primary output gets a
 ``<name>.manifest.json`` sidecar recording the resolved parameters and their
 hash. Defaults may come from a JSON config file (``--config``) whose
 top-level keys are stage names; explicit flags win, and config values are
-taken as the JSON values they are. The params objects the stages build check
-the parameters before any input is read.
+taken as the JSON values they are. Every section is checked against its
+flags when the config loads. Flag defaults are the field defaults of the
+params objects the stages build, and those objects check the parameters
+before any input is read.
 
 Exit codes: 0 ok, 1 invalid configuration, 2 missing or malformed data.
 """
@@ -19,6 +21,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,7 @@ from .model.search import stratified_split
 from .record_io import LabelSet, read_beats_csv, write_beats_csv
 
 ENCODE_CHUNK = 256  # beats encoded per encode_beat call by cmd_encode
+LABELS = ",".join(LabelSet.symbols)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,28 +51,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-class _FromConfig:
-    """Default of a flag that the config sets. main() swaps the JSON value in
-    (argparse would re-parse a string default) once it fits the flag: one of
-    its choices, a bool for a switch, a string for a text or path flag, or
-    null where the flag's own default is null. The params objects check
-    numbers."""
-
-    def __init__(self, action: argparse.Action):
-        self.action, self.default = action, action.default
-
-    def check(self, stage: str, value) -> None:
-        action = self.action
-        name = f"config {stage}.{action.dest}"
-        if action.choices is not None and value not in action.choices:
-            raise ValidationError(
-                f"{name} must be one of {', '.join(action.choices)}, got {value!r}")
-        if action.nargs == 0:
-            if not isinstance(value, bool):
-                raise ValidationError(f"{name} must be true or false, got {value!r}")
-        elif (action.type in (None, str, Path) and not isinstance(value, str)
-              and not (value is None and self.default is None)):
-            raise ValidationError(f"{name} must be a string, got {value!r}")
+def _check_config(stage: str, action: argparse.Action, value) -> None:
+    """A config value must fit its flag: one of its choices, a bool for a
+    switch, a string for a text or path flag, or null where the flag's own
+    default is null. The params objects check numbers."""
+    name = f"config {stage}.{action.dest}"
+    if action.choices is not None and value not in action.choices:
+        raise ValidationError(
+            f"{name} must be one of {', '.join(action.choices)}, got {value!r}")
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValidationError(f"{name} must be true or false, got {value!r}")
+    elif (action.type in (None, str, Path) and not isinstance(value, str)
+          and not (value is None and action.default is None)):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +257,13 @@ def cmd_encode(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # each params field takes the flag of its name; rf's max_depth is --rf-max-depth
     if args.model == "gbdt":
-        fit, params = fit_gbdt, GbdtParams(
-            learning_rate=args.learning_rate, max_depth=args.max_depth,
-            n_estimators=args.n_estimators, min_data_in_leaf=args.min_data_in_leaf,
-            l1_alpha=args.l1_alpha, l2_lambda=args.l2_lambda)
+        fit, param_cls, flags = fit_gbdt, GbdtParams, vars(args)
     else:
-        fit, params = fit_random_forest, RfParams(
-            n_trees=args.n_trees, max_depth=args.rf_max_depth,
-            min_samples_leaf=args.min_samples_leaf,
-            features_per_split=args.features_per_split, seed=args.seed)
+        fit, param_cls = fit_random_forest, RfParams
+        flags = dict(vars(args), max_depth=args.rf_max_depth)
+    params = param_cls(**{f.name: flags[f.name] for f in fields(param_cls)})
     label_set = _label_set(args)
     _require_inputs(args.features)
     rows, labels = record_io.load_feature_matrix(args.features)
@@ -304,9 +297,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gridsearch(args) -> int:
-    plan = None
+    label_set, plan = _label_set(args), None
     if args.targets is not None:
-        label_set = _label_set(args)
         plan = balance_mod.BalancePlan(targets=_parse_targets(args.targets, label_set),
                                        k_neighbors=args.k_neighbors, seed=args.seed)
     _require_inputs(args.features, args.grid)
@@ -320,9 +312,11 @@ def cmd_gridsearch(args) -> int:
     except (TypeError, ValidationError) as exc:
         raise ValidationError(f"{args.grid}: {exc}") from None
     rows, labels = record_io.load_feature_matrix(args.features)
+    metrics_mod.check_labels(labels, len(label_set))
 
     best, results = grid_search(rows, labels, candidates, folds=args.folds,
-                                seed=args.seed, balance_plan=plan)
+                                seed=args.seed, balance_plan=plan,
+                                n_classes=len(label_set))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "results.csv", "w", newline="") as fh:
@@ -371,10 +365,11 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled record")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-beats", type=int, default=100, help="beats per class")
-    p.add_argument("--fs", type=float, default=250.0)
-    p.add_argument("--noise-std", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-beats", type=int, default=synth_mod.SynthConfig.n_beats,
+                   help="beats per class")
+    p.add_argument("--fs", type=float, default=synth_mod.SynthConfig.fs)
+    p.add_argument("--noise-std", type=float, default=synth_mod.SynthConfig.noise_std)
+    p.add_argument("--seed", type=int, default=synth_mod.SynthConfig.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("preprocess", help="resample, filter, segment, normalize")
@@ -383,7 +378,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
                    help="annotation CSV (sample_index,label)")
     p.add_argument("--fs", type=float, default=250.0, help="input sampling rate, Hz")
     p.add_argument("--lead", type=int, default=0, help="lead column to use")
-    p.add_argument("--labels", default="N,S,V", help="admitted label symbols, ordered")
+    p.add_argument("--labels", default=LABELS, help="admitted label symbols, ordered")
     p.add_argument("--strict", action="store_true",
                    help="reject unknown labels instead of skipping")
     p.add_argument("--out-dir", required=True)
@@ -405,33 +400,33 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--targets", default="N=300000,S=100000,V=100000")
-    p.add_argument("--k-neighbors", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--labels", default="N,S,V")
+    p.add_argument("--k-neighbors", type=int, default=balance_mod.BalancePlan.k_neighbors)
+    p.add_argument("--seed", type=int, default=balance_mod.BalancePlan.seed)
+    p.add_argument("--labels", default=LABELS)
     p.set_defaults(func=cmd_balance)
 
     p = sub.add_parser("encode", help="beats -> GASF/MTF/RP image files")
     p.add_argument("--beats", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--mtf-bins", type=int, default=8)
+    p.add_argument("--mtf-bins", type=int, default=MtfConfig.n_bins)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("train", help="fit a tree-ensemble classifier")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--model", choices=("gbdt", "rf"), default="gbdt")
-    p.add_argument("--labels", default="N,S,V")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--max-depth", type=int, default=10)
-    p.add_argument("--n-estimators", type=int, default=1000)
-    p.add_argument("--min-data-in-leaf", type=int, default=10)
-    p.add_argument("--l1-alpha", type=float, default=0.5)
-    p.add_argument("--l2-lambda", type=float, default=0.7327)
-    p.add_argument("--n-trees", type=int, default=100)
-    p.add_argument("--rf-max-depth", type=int, default=None)
-    p.add_argument("--min-samples-leaf", type=int, default=1)
-    p.add_argument("--features-per-split", type=int, default=None)
+    p.add_argument("--labels", default=LABELS)
+    p.add_argument("--seed", type=int, default=RfParams.seed)
+    p.add_argument("--learning-rate", type=float, default=GbdtParams.learning_rate)
+    p.add_argument("--max-depth", type=int, default=GbdtParams.max_depth)
+    p.add_argument("--n-estimators", type=int, default=GbdtParams.n_estimators)
+    p.add_argument("--min-data-in-leaf", type=int, default=GbdtParams.min_data_in_leaf)
+    p.add_argument("--l1-alpha", type=float, default=GbdtParams.l1_alpha)
+    p.add_argument("--l2-lambda", type=float, default=GbdtParams.l2_lambda)
+    p.add_argument("--n-trees", type=int, default=RfParams.n_trees)
+    p.add_argument("--rf-max-depth", type=int, default=RfParams.max_depth)
+    p.add_argument("--min-samples-leaf", type=int, default=RfParams.min_samples_leaf)
+    p.add_argument("--features-per-split", type=int, default=RfParams.features_per_split)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a model on an untouched test set")
@@ -450,8 +445,8 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--targets", default=None,
                    help="apply in-fold balancing to these targets")
-    p.add_argument("--k-neighbors", type=int, default=5)
-    p.add_argument("--labels", default="N,S,V")
+    p.add_argument("--k-neighbors", type=int, default=balance_mod.BalancePlan.k_neighbors)
+    p.add_argument("--labels", default=LABELS)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("report", help="render metrics CSVs as one table")
@@ -472,7 +467,11 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         if unknown:
             raise ValidationError(
                 f"config section '{name}' has unknown keys: {sorted(unknown)}")
-        sp.set_defaults(**{key: _FromConfig(actions[key]) for key in section})
+        for key, value in section.items():
+            _check_config(name, actions[key], value)
+            # no parser default, so main() fills in the JSON value as it is; the
+            # action's own default, since a set_defaults() string is type-converted
+            actions[key].default = argparse.SUPPRESS
     return parser
 
 
@@ -495,10 +494,7 @@ def main(argv=None) -> int:
         config = _load_config(argv)
         args = build_parser(config).parse_args(argv)
         for key, value in config.get(args.stage, {}).items():
-            flag = getattr(args, key)
-            if isinstance(flag, _FromConfig):
-                flag.check(args.stage, value)
-                setattr(args, key, value)
+            vars(args).setdefault(key, value)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

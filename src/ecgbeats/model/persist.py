@@ -130,46 +130,42 @@ def _read_tree(reader: _LineReader, t: int, kind: str, n_classes: int,
                n_features: int) -> Tree:
     """Tree block ``t``. Children must come after their parent (the builders
     always append them), which also rules out cycles, so routing ends."""
-    t_id, nodes, n_nodes = reader.expect("tree", 3)
-    if t_id != str(t) or nodes != "nodes":
+    t_id, word, n_nodes = reader.expect("tree", 3)
+    if t_id != str(t) or word != "nodes":
         reader.fail(f"expected 'tree {t} nodes <M>'")
     # at most one node per remaining line, so a corrupt count cannot allocate much
     n_nodes = reader.integer(n_nodes, low=1, high=len(reader.lines) - reader.pos + 1)
-    feature = np.full(n_nodes, LEAF, dtype=np.int32)
-    threshold = np.zeros(n_nodes)
-    left = np.full(n_nodes, LEAF, dtype=np.int32)
-    right = np.full(n_nodes, LEAF, dtype=np.int32)
-    value = np.zeros((n_nodes, n_classes), dtype=np.int64) if kind == "rf" else np.zeros(n_nodes)
-    parse = reader.integer if kind == "rf" else reader.number
-    leaf = value.reshape(n_nodes, -1)     # a view: one row of leaf fields per node
-    seen = np.zeros(n_nodes, dtype=bool)
+    # a leaf holds K class counts (rf) or one score (gbdt); a split a zero payload
+    if kind == "rf":
+        n_fields, zero, parse = n_classes, [0] * n_classes, reader.integer
+    else:
+        n_fields, zero, parse = 1, 0.0, reader.number
+    nodes = [None] * n_nodes
     for _ in range(n_nodes):
         parts = reader.expect("n", None)
         if len(parts) < 2:
             reader.fail("node record needs an id and a kind")
         i = reader.integer(parts[0], high=n_nodes)
-        if seen[i]:
+        if nodes[i] is not None:
             reader.fail(f"node {i} defined twice")
-        seen[i] = True
         node_kind, fields = parts[1], parts[2:]
         if node_kind == "split":
             if len(fields) != 4:
                 reader.fail(f"split needs 4 fields, found {len(fields)}")
-            feature[i] = reader.integer(fields[0], high=n_features)
-            threshold[i] = reader.number(fields[1])
-            left[i] = reader.integer(fields[2], low=i + 1, high=n_nodes)
-            right[i] = reader.integer(fields[3], low=i + 1, high=n_nodes)
+            nodes[i] = (reader.integer(fields[0], high=n_features), reader.number(fields[1]),
+                        reader.integer(fields[2], low=i + 1, high=n_nodes),
+                        reader.integer(fields[3], low=i + 1, high=n_nodes), zero)
         elif node_kind == "leaf":
-            if len(fields) != leaf.shape[1]:
-                reader.fail(f"leaf needs {leaf.shape[1]} field(s), found {len(fields)}")
+            if len(fields) != n_fields:
+                reader.fail(f"leaf needs {n_fields} field(s), found {len(fields)}")
             payload = [parse(token) for token in fields]
             # a forest leaf's counts are divided by their sum when predicting
             if kind == "rf" and not 0 < sum(payload) < 2 ** 63:
                 reader.fail(f"leaf counts must sum to 1 .. 2**63 - 1, found {sum(payload)}")
-            leaf[i] = payload
+            nodes[i] = (LEAF, 0.0, LEAF, LEAF, payload if kind == "rf" else payload[0])
         else:
             reader.fail(f"unknown node kind {node_kind!r}")
-    return Tree(feature=feature, threshold=threshold, left=left, right=right, value=value)
+    return Tree.from_nodes(nodes)
 
 
 def load_model(path) -> EnsembleModel:

@@ -78,35 +78,36 @@ class GridResult:
 
 
 def grid_search(rows, labels, candidates, folds: int = 3, seed: int = 0,
-                balance_plan: BalancePlan | None = None):
+                balance_plan: BalancePlan | None = None, n_classes: int | None = None):
     """Evaluate every candidate, return (best_params, results).
 
-    Best is the highest mean macro F1 over folds; ties go to the earliest
-    candidate in grid order.
+    Each fold's training split is balanced once and every candidate is fit on
+    it. ``n_classes`` is K for every model (default: inferred from the
+    labels). Best is the highest mean macro F1 over folds; ties go to the
+    earliest candidate in grid order.
     """
     rows = np.asarray(rows, dtype=float)
     y = np.asarray(labels, dtype=int)
     if not candidates:
         raise ValidationError("empty parameter grid")
-    n_classes = int(y.max()) + 1
     fold_idx = stratified_kfold(y, folds, seed)
     all_idx = np.arange(y.shape[0])
 
-    results = []
-    for index, params in enumerate(candidates):
-        scores = []
-        for valid_idx in fold_idx:
-            train_mask = np.ones(y.shape[0], dtype=bool)
-            train_mask[valid_idx] = False
-            train_idx = all_idx[train_mask]
-            x_train, y_train = rows[train_idx], y[train_idx]
-            if balance_plan is not None:
-                x_train, y_train = apply_plan(x_train, y_train, balance_plan)
+    scores = [[] for _ in candidates]
+    for valid_idx in fold_idx:
+        train_mask = np.ones(y.shape[0], dtype=bool)
+        train_mask[valid_idx] = False
+        train_idx = all_idx[train_mask]
+        x_train, y_train = rows[train_idx], y[train_idx]
+        if balance_plan is not None:
+            x_train, y_train = apply_plan(x_train, y_train, balance_plan)
+        for params, fold_f1 in zip(candidates, scores):
             model = _fit(x_train, y_train, params, n_classes)
             pred, _ = predict_batch(model, rows[valid_idx])
-            _, _, f1, _ = macro_metrics(confusion_matrix(y[valid_idx], pred, n_classes))
-            scores.append(f1)
-        results.append(GridResult(index=index, params=params,
-                                  fold_f1=scores, mean_f1=float(np.mean(scores))))
+            cm = confusion_matrix(y[valid_idx], pred, model.n_classes)
+            fold_f1.append(macro_metrics(cm)[2])
+    results = [GridResult(index=index, params=params, fold_f1=fold_f1,
+                          mean_f1=float(np.mean(fold_f1)))
+               for index, (params, fold_f1) in enumerate(zip(candidates, scores))]
     best = max(results, key=lambda r: (r.mean_f1, -r.index))
     return best.params, results

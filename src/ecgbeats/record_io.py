@@ -43,7 +43,9 @@ class LabelSet:
     symbols: tuple = ("N", "S", "V")
 
     def __post_init__(self):
-        if not self.symbols or len(set(self.symbols)) != len(self.symbols):
+        # all(()) is True, so the empty tuple needs its own test
+        if (not self.symbols or not all(self.symbols)
+                or len(set(self.symbols)) != len(self.symbols)):
             raise ValidationError("label symbols must be unique and non-empty")
 
     def __len__(self):
@@ -329,7 +331,8 @@ def load_record(signal_path, annotation_path, fs: float, lead_select: int = 0,
         raise ValidationError(
             f"lead {lead_select!r} not available ({samples.shape[1]} columns)"
         )
-    record = EcgRecord(signal=samples[:, lead_select], fs=fs,
+    # a copy of the column when there are two, so the other is not kept alive
+    record = EcgRecord(signal=np.ascontiguousarray(samples[:, lead_select]), fs=fs,
                        rpeaks=np.asarray(rpeaks, dtype=int), labels=labels)
     return record, skipped
 

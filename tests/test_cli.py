@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from ecgbeats import cli
-from ecgbeats.record_io import BEAT_LEN, Beats, load_feature_matrix, write_beats_csv
+from ecgbeats.record_io import (BEAT_LEN, Beats, load_feature_matrix, save_feature_matrix,
+                                write_beats_csv)
 
 
 def run(*argv):
@@ -368,6 +370,38 @@ class TestErrors:
         assert code == 1
         assert "labels outside 0..2" in capsys.readouterr().err
 
+    def test_out_of_set_label_rejected_by_gridsearch(self, tmp_path, capsys, pipeline_dir):
+        # six rows of class 3 fill every fold, so only --labels can refuse them
+        lines = (pipeline_dir / "features_train.csv").read_text().splitlines()
+        for i in range(1, 7):
+            lines[i] = lines[i].rsplit(",", 1)[0] + ",3"
+        features = tmp_path / "f.csv"
+        features.write_text("\n".join(lines) + "\n")
+        (tmp_path / "grid.json").write_text('[{"n_trees": 2}]')
+        code = run("gridsearch", "--model", "rf", "--features", features,
+                   "--grid", tmp_path / "grid.json", "--out-dir", tmp_path / "gs")
+        assert code == 1
+        assert "labels outside 0..2" in capsys.readouterr().err
+        assert not (tmp_path / "gs").exists()
+
+    def test_gridsearch_scores_with_k_from_labels(self, tmp_path, pipeline_dir):
+        # no row of V: K = 3 from --labels scores V's F1 as 0, as evaluate does
+        rows, labels = load_feature_matrix(pipeline_dir / "features_train.csv")
+        features = tmp_path / "f.csv"
+        save_feature_matrix(rows[labels < 2], labels[labels < 2], features)
+        (tmp_path / "grid.json").write_text('[{"n_trees": 3}]')
+        fold_f1 = {}
+        for symbols in ("N,S", "N,S,V"):
+            assert run("gridsearch", "--model", "rf", "--features", features,
+                       "--grid", tmp_path / "grid.json", "--labels", symbols,
+                       "--out-dir", tmp_path / symbols) == 0
+            with open(tmp_path / symbols / "results.csv", newline="") as fh:
+                row, = list(csv.DictReader(fh))
+            fold_f1[symbols] = [float(f) for f in row["fold_f1"].split()]
+        # the forest's splits and votes do not depend on an empty class
+        assert fold_f1["N,S,V"] == pytest.approx([f * 2 / 3 for f in fold_f1["N,S"]],
+                                                 abs=1e-6)
+
     def test_annotation_index_outside_int64_is_data_error(self, tmp_path, capsys):
         d = tmp_path / "raw"
         assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
@@ -478,6 +512,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "signal.csv: the filtered signal is not finite" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "pre").exists()
+
+    def test_empty_label_symbol_refused(self, tmp_path, capsys):
+        d = tmp_path / "raw"
+        assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
+        code = run("preprocess", "--signal", d / "signal.csv",
+                   "--annotations", d / "annotations.csv", "--labels", "N,,V",
+                   "--out-dir", tmp_path / "pre")
+        assert code == 1
+        assert "label symbols must be unique and non-empty" in capsys.readouterr().err
         assert not (tmp_path / "pre").exists()
 
     def test_strict_unknown_label(self, tmp_path):
@@ -593,6 +637,14 @@ class TestConfigFile:
         assert f"config {stage}.{key} must be {kind}, got {value!r}" in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_other_stage_section_checked_on_load(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"model": "xgb"}}))
+        assert run("--config", config, "synth", "--out-dir", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert "config train.model must be one of gbdt, rf, got 'xgb'" in err
+        assert not (tmp_path / "x").exists()
 
     def test_config_null_where_the_flag_defaults_to_null(self, tmp_path, pipeline_dir):
         config = tmp_path / "config.json"

@@ -464,6 +464,29 @@ class TestGridSearch:
         best, _ = grid_search(rows, labels, [a, b], folds=3, seed=3)
         assert best is a
 
+    def test_each_fold_balanced_once(self, monkeypatch):
+        from ecgbeats.balance import BalancePlan, apply_plan
+        from ecgbeats.model import search
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return apply_plan(*args)
+
+        monkeypatch.setattr(search, "apply_plan", counted)
+        rows, labels = blobs(n_per_class=20, seed=19)
+        plan = BalancePlan(targets={0: 15, 1: 15, 2: 15}, k_neighbors=3, seed=1)
+        candidates = [GbdtParams(n_estimators=n, max_depth=2, min_data_in_leaf=2)
+                      for n in (0, 2, 4)]
+        _, results = grid_search(rows, labels, candidates, folds=4, seed=2,
+                                 balance_plan=plan)
+        assert len(calls) == 4
+        # each candidate keeps its own fold scores, in fold order
+        for params, result in zip(candidates, results):
+            _, (alone,) = grid_search(rows, labels, [params], folds=4, seed=2,
+                                      balance_plan=plan)
+            assert result.fold_f1 == alone.fold_f1
+
     def test_in_fold_balancing(self):
         from ecgbeats.balance import BalancePlan
         rng = np.random.default_rng(17)

@@ -2,6 +2,7 @@
 directly, through ``--config`` and (GBDT and RF fields) through ``--grid``,
 always as exit 1 naming the field, never a traceback."""
 
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from ecgbeats.balance import BalancePlan
 from ecgbeats.encode import MtfConfig
 from ecgbeats.errors import ValidationError
 from ecgbeats.model import GbdtParams, RfParams
-from ecgbeats.record_io import save_feature_matrix
+from ecgbeats.record_io import LabelSet, save_feature_matrix
 from ecgbeats.synth import SynthConfig
 
 NAN, INF = math.nan, math.inf
@@ -178,6 +179,30 @@ def test_flag_value_refused(inputs, capsys, argv, field):
     (inputs / "grid.json").write_text('[{"n_estimators": 0}]')
     assert_refused(run(*(a.format(d=inputs) for a in argv)), capsys, field)
     assert not {"raw", "pre", "b.csv", "m.txt", "gs"} & {p.name for p in inputs.iterdir()}
+
+
+# (stage, flag dest) -> (params class, field) for every flag a params object checks
+PARAMS_FLAGS = {
+    **{("synth", f): (SynthConfig, f) for f in ("n_beats", "fs", "noise_std", "seed")},
+    ("balance", "k_neighbors"): (BalancePlan, "k_neighbors"),
+    ("balance", "seed"): (BalancePlan, "seed"),
+    ("gridsearch", "k_neighbors"): (BalancePlan, "k_neighbors"),
+    ("encode", "mtf_bins"): (MtfConfig, "n_bins"),
+    **{("train", f): (GbdtParams, f) for f in ("learning_rate", "max_depth", "n_estimators",
+                                               "min_data_in_leaf", "l1_alpha", "l2_lambda")},
+    **{("train", f): (RfParams, f) for f in ("n_trees", "min_samples_leaf",
+                                             "features_per_split", "seed")},
+    ("train", "rf_max_depth"): (RfParams, "max_depth"),
+}
+
+
+def test_flag_defaults_are_the_params_defaults():
+    stages = cli.build_parser({})._subparsers._group_actions[0].choices
+    for (stage, dest), (cls, name) in PARAMS_FLAGS.items():
+        field, = (f for f in dataclasses.fields(cls) if f.name == name)
+        assert stages[stage].get_default(dest) == field.default, (stage, dest)
+    for stage in ("preprocess", "balance", "train", "gridsearch"):
+        assert stages[stage].get_default("labels") == ",".join(LabelSet().symbols)
 
 
 def test_unused_model_flags_are_not_read(inputs):

@@ -80,6 +80,15 @@ class TestLoadRecord:
             with pytest.raises(ValidationError, match=f"lead {lead} not available"):
                 load_record(sig, ann, fs=250.0, lead_select=lead)
 
+    def test_selected_column_does_not_keep_the_file_alive(self, tmp_path):
+        sig = _write(tmp_path / "s.csv", "0.0,1.0\n0.1,1.1\n0.2,1.2\n")
+        ann = _write(tmp_path / "a.csv", "sample_index,label\n1,N\n")
+        for lead in (0, 1):
+            record, _ = load_record(sig, ann, fs=250.0, lead_select=lead)
+            assert record.signal.flags.c_contiguous
+            # a column view would have the whole (3, 2) array as its base
+            assert record.signal.base is None
+
     def test_signal_annotation_round_trip(self, tmp_path):
         signal = np.linspace(-1, 1, 50)
         write_signal_csv(tmp_path / "s.csv", signal)
@@ -98,6 +107,11 @@ class TestLabelSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ValidationError):
             LabelSet(("N", "N"))
+
+    @pytest.mark.parametrize("symbols", [(), ("",), ("N", "", "V")])
+    def test_rejects_empty_symbols(self, symbols):
+        with pytest.raises(ValidationError, match="unique and non-empty"):
+            LabelSet(symbols)
 
 
 class TestFeatureMatrix:
