@@ -56,6 +56,9 @@ def _check_config(stage: str, action: argparse.Action, value) -> None:
     switch, a string for a text or path flag, or null where the flag's own
     default is null. The params objects check numbers."""
     name = f"config {stage}.{action.dest}"
+    if action.required:  # argparse wants the flag before main() fills in config values
+        raise ValidationError(f"{name}: {action.option_strings[0]} "
+                              "is required on the command line")
     if action.choices is not None and value not in action.choices:
         raise ValidationError(
             f"{name} must be one of {', '.join(action.choices)}, got {value!r}")
@@ -110,6 +113,12 @@ def _write_manifest(target, stage: str, args, inputs=()) -> None:
 
 def _label_set(args) -> LabelSet:
     return LabelSet(tuple(s.strip() for s in args.labels.split(",")))
+
+
+def _model_kind(model: str):
+    """--model -> (fit function, params class). The fit functions are this
+    module's names, read at each call, so a wrapper set on them is used."""
+    return (fit_gbdt, GbdtParams) if model == "gbdt" else (fit_random_forest, RfParams)
 
 
 def _parse_targets(spec: str, label_set: LabelSet) -> dict:
@@ -257,12 +266,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_train(args) -> int:
+    fit, param_cls = _model_kind(args.model)
     # each params field takes the flag of its name; rf's max_depth is --rf-max-depth
-    if args.model == "gbdt":
-        fit, param_cls, flags = fit_gbdt, GbdtParams, vars(args)
-    else:
-        fit, param_cls = fit_random_forest, RfParams
-        flags = dict(vars(args), max_depth=args.rf_max_depth)
+    flags = dict(vars(args), max_depth=args.rf_max_depth) if args.model == "rf" else vars(args)
     params = param_cls(**{f.name: flags[f.name] for f in fields(param_cls)})
     label_set = _label_set(args)
     _require_inputs(args.features)
@@ -305,16 +311,16 @@ def cmd_gridsearch(args) -> int:
     raw_grid = _read_json(args.grid)
     if not isinstance(raw_grid, list) or not raw_grid:
         raise ValidationError(f"{args.grid}: expected a non-empty JSON list of parameter objects")
-    param_cls = GbdtParams if args.model == "gbdt" else RfParams
-    seed = {"seed": args.seed} if args.model == "rf" else {}
+    fit, param_cls = _model_kind(args.model)
+    seed = {"seed": args.seed} if args.model == "rf" else {}  # an entry's own seed wins
     try:
-        candidates = [param_cls(**{**combo, **seed}) for combo in raw_grid]
+        candidates = [param_cls(**{**seed, **combo}) for combo in raw_grid]
     except (TypeError, ValidationError) as exc:
         raise ValidationError(f"{args.grid}: {exc}") from None
     rows, labels = record_io.load_feature_matrix(args.features)
     metrics_mod.check_labels(labels, len(label_set))
 
-    best, results = grid_search(rows, labels, candidates, folds=args.folds,
+    best, results = grid_search(rows, labels, candidates, fit, folds=args.folds,
                                 seed=args.seed, balance_plan=plan,
                                 n_classes=len(label_set))
     out = Path(args.out_dir)
@@ -399,7 +405,8 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p = sub.add_parser("balance", help="undersample + SMOTE the training set")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--targets", default="N=300000,S=100000,V=100000")
+    p.add_argument("--targets", default=",".join(
+        f"{LabelSet.symbols[c]}={n}" for c, n in balance_mod.DEFAULT_TARGETS.items()))
     p.add_argument("--k-neighbors", type=int, default=balance_mod.BalancePlan.k_neighbors)
     p.add_argument("--seed", type=int, default=balance_mod.BalancePlan.seed)
     p.add_argument("--labels", default=LABELS)

@@ -16,8 +16,6 @@ from ..balance import BalancePlan, apply_plan
 from ..errors import ValidationError, int_at_least, is_real, validate
 from ..metrics import confusion_matrix, macro_metrics
 from .ensemble import predict_batch
-from .forest import RfParams, fit_random_forest
-from .gbdt import GbdtParams, fit_gbdt
 
 
 def stratified_kfold(labels, folds: int, seed: int = 0) -> list:
@@ -61,14 +59,6 @@ def stratified_split(labels, test_fraction: float, seed: int = 0):
     return np.sort(np.asarray(train, dtype=int)), np.sort(np.asarray(test, dtype=int))
 
 
-def _fit(rows, labels, params, n_classes):
-    if isinstance(params, GbdtParams):
-        return fit_gbdt(rows, labels, params, n_classes=n_classes)
-    if isinstance(params, RfParams):
-        return fit_random_forest(rows, labels, params, n_classes=n_classes)
-    raise ValidationError(f"unsupported parameter type {type(params).__name__}")
-
-
 @dataclass
 class GridResult:
     index: int
@@ -77,14 +67,15 @@ class GridResult:
     mean_f1: float
 
 
-def grid_search(rows, labels, candidates, folds: int = 3, seed: int = 0,
+def grid_search(rows, labels, candidates, fit, folds: int = 3, seed: int = 0,
                 balance_plan: BalancePlan | None = None, n_classes: int | None = None):
     """Evaluate every candidate, return (best_params, results).
 
     Each fold's training split is balanced once and every candidate is fit on
-    it. ``n_classes`` is K for every model (default: inferred from the
-    labels). Best is the highest mean macro F1 over folds; ties go to the
-    earliest candidate in grid order.
+    it with ``fit(rows, labels, params, n_classes=n_classes)``, the ensemble's
+    fit function for the candidates' params class. ``n_classes`` is K for
+    every model (default: inferred from the labels). Best is the highest mean
+    macro F1 over folds; ties go to the earliest candidate in grid order.
     """
     rows = np.asarray(rows, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -102,7 +93,7 @@ def grid_search(rows, labels, candidates, folds: int = 3, seed: int = 0,
         if balance_plan is not None:
             x_train, y_train = apply_plan(x_train, y_train, balance_plan)
         for params, fold_f1 in zip(candidates, scores):
-            model = _fit(x_train, y_train, params, n_classes)
+            model = fit(x_train, y_train, params, n_classes=n_classes)
             pred, _ = predict_batch(model, rows[valid_idx])
             cm = confusion_matrix(y[valid_idx], pred, model.n_classes)
             fold_f1.append(macro_metrics(cm)[2])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ecgbeats import cli
+from ecgbeats.model import GbdtParams, RfParams
 from ecgbeats.record_io import (BEAT_LEN, Beats, load_feature_matrix, save_feature_matrix,
                                 write_beats_csv)
 
@@ -110,6 +111,60 @@ class TestPipeline:
         assert best["n_estimators"] == 6
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 combinations
+
+
+def _record_fits(monkeypatch, name):
+    """Wrap ``ecgbeats.cli.<name>`` so each fit's params are recorded."""
+    calls, fit = [], getattr(cli, name)
+
+    def recorded(rows, labels, params, n_classes=None):
+        calls.append(params)
+        return fit(rows, labels, params, n_classes=n_classes)
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+class TestModelKind:
+    def test_every_fit_goes_through_the_cli_names(self, tmp_path, monkeypatch,
+                                                  pipeline_dir):
+        # the benchmark's tracer wraps these two names in ecgbeats.cli; a fit
+        # that bypasses them goes untimed
+        fits = {name: _record_fits(monkeypatch, name)
+                for name in ("fit_gbdt", "fit_random_forest")}
+        features, grid = pipeline_dir / "features_train.csv", tmp_path / "grid.json"
+        assert run("train", "--features", features, "--out", tmp_path / "gbdt.txt",
+                   "--n-estimators", 1) == 0
+        assert run("train", "--model", "rf", "--features", features,
+                   "--out", tmp_path / "rf.txt", "--n-trees", 1) == 0
+        assert [len(calls) for calls in fits.values()] == [1, 1]
+        grid.write_text('[{"n_estimators": 1}, {"n_estimators": 2}]')
+        assert run("gridsearch", "--features", features, "--grid", grid,
+                   "--folds", 2, "--out-dir", tmp_path / "gs") == 0
+        grid.write_text('[{"n_trees": 1}]')
+        assert run("gridsearch", "--model", "rf", "--features", features, "--grid", grid,
+                   "--folds", 2, "--out-dir", tmp_path / "gs_rf") == 0
+        # 2 folds x 2 candidates, and 2 folds x 1 candidate
+        assert [len(calls) for calls in fits.values()] == [1 + 4, 1 + 2]
+        assert all(isinstance(p, GbdtParams) for p in fits["fit_gbdt"])
+        assert all(isinstance(p, RfParams) for p in fits["fit_random_forest"])
+
+    def test_grid_entry_seed_wins_over_the_flag(self, tmp_path, monkeypatch, pipeline_dir):
+        fits = _record_fits(monkeypatch, "fit_random_forest")
+        entry = {"n_trees": 2, "seed": 5}
+        (tmp_path / "grid.json").write_text(json.dumps([entry]))
+        assert run("gridsearch", "--model", "rf",
+                   "--features", pipeline_dir / "features_train.csv",
+                   "--grid", tmp_path / "grid.json", "--out-dir", tmp_path / "gs") == 0
+        assert len(fits) == 3 and all(p.seed == 5 for p in fits)
+        assert json.loads((tmp_path / "gs" / "best_params.json").read_text()) == entry
+        # an entry that names no seed takes --seed
+        fits.clear()
+        (tmp_path / "grid.json").write_text('[{"n_trees": 2}]')
+        assert run("gridsearch", "--model", "rf", "--seed", 3,
+                   "--features", pipeline_dir / "features_train.csv",
+                   "--grid", tmp_path / "grid.json", "--out-dir", tmp_path / "gs3") == 0
+        assert len(fits) == 3 and all(p.seed == 3 for p in fits)
 
 
 def image_digests(out):
@@ -645,6 +700,21 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "config train.model must be one of gbdt, rf, got 'xgb'" in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("config, flags, message", [
+        ({"synth": {"out_dir": "x"}}, [], "config synth.out_dir: --out-dir"),
+        ({"synth": {"out_dir": "x"}}, ["--out-dir", "y"], "config synth.out_dir: --out-dir"),
+        ({"report": {"metrics": ["m.csv"]}}, ["--out-dir", "y"],
+         "config report.metrics: --metrics"),
+    ], ids=["synth", "synth-with-flag", "other-stage"])
+    def test_config_key_of_a_required_flag_refused(self, tmp_path, capsys, monkeypatch,
+                                                   config, flags, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run("--config", "config.json", "synth", *flags) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message} is required on the command line\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_config_null_where_the_flag_defaults_to_null(self, tmp_path, pipeline_dir):
         config = tmp_path / "config.json"

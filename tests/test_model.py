@@ -430,7 +430,7 @@ class TestGridSearch:
     def test_single_combination_returned(self):
         rows, labels = blobs(n_per_class=15, seed=7)
         only = GbdtParams(n_estimators=2, max_depth=2, min_data_in_leaf=2)
-        best, results = grid_search(rows, labels, [only], folds=3, seed=0)
+        best, results = grid_search(rows, labels, [only], fit_gbdt, folds=3, seed=0)
         assert best is only
         assert len(results) == 1
 
@@ -438,7 +438,7 @@ class TestGridSearch:
         rows, labels = blobs(n_per_class=30, seed=11)
         weak = GbdtParams(n_estimators=0)
         strong = GbdtParams(n_estimators=25, max_depth=3, min_data_in_leaf=2)
-        best, results = grid_search(rows, labels, [weak, strong], folds=3, seed=1)
+        best, results = grid_search(rows, labels, [weak, strong], fit_gbdt, folds=3, seed=1)
         assert best is strong
         assert results[1].mean_f1 > results[0].mean_f1
 
@@ -461,7 +461,7 @@ class TestGridSearch:
         rows, labels = blobs(n_per_class=15, seed=13)
         a = GbdtParams(n_estimators=0)
         b = GbdtParams(n_estimators=0)
-        best, _ = grid_search(rows, labels, [a, b], folds=3, seed=3)
+        best, _ = grid_search(rows, labels, [a, b], fit_gbdt, folds=3, seed=3)
         assert best is a
 
     def test_each_fold_balanced_once(self, monkeypatch):
@@ -478,12 +478,12 @@ class TestGridSearch:
         plan = BalancePlan(targets={0: 15, 1: 15, 2: 15}, k_neighbors=3, seed=1)
         candidates = [GbdtParams(n_estimators=n, max_depth=2, min_data_in_leaf=2)
                       for n in (0, 2, 4)]
-        _, results = grid_search(rows, labels, candidates, folds=4, seed=2,
+        _, results = grid_search(rows, labels, candidates, fit_gbdt, folds=4, seed=2,
                                  balance_plan=plan)
         assert len(calls) == 4
         # each candidate keeps its own fold scores, in fold order
         for params, result in zip(candidates, results):
-            _, (alone,) = grid_search(rows, labels, [params], folds=4, seed=2,
+            _, (alone,) = grid_search(rows, labels, [params], fit_gbdt, folds=4, seed=2,
                                       balance_plan=plan)
             assert result.fold_f1 == alone.fold_f1
 
@@ -496,7 +496,7 @@ class TestGridSearch:
         labels = np.repeat([0, 1, 2], [60, 15, 15])
         plan = BalancePlan(targets={0: 25, 1: 25, 2: 25}, k_neighbors=3, seed=1)
         candidate = GbdtParams(n_estimators=10, max_depth=3, min_data_in_leaf=2)
-        best, results = grid_search(rows, labels, [candidate], folds=3, seed=2,
+        best, results = grid_search(rows, labels, [candidate], fit_gbdt, folds=3, seed=2,
                                     balance_plan=plan)
         assert best is candidate
         assert results[0].mean_f1 > 0.8  # separable blobs stay learnable

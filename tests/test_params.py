@@ -203,6 +203,8 @@ def test_flag_defaults_are_the_params_defaults():
         assert stages[stage].get_default(dest) == field.default, (stage, dest)
     for stage in ("preprocess", "balance", "train", "gridsearch"):
         assert stages[stage].get_default("labels") == ",".join(LabelSet().symbols)
+    targets = stages["balance"].get_default("targets")
+    assert cli._parse_targets(targets, LabelSet()) == BalancePlan().targets
 
 
 def test_unused_model_flags_are_not_read(inputs):
