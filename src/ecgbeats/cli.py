@@ -164,9 +164,12 @@ def cmd_preprocess(args) -> int:
     ])
     label_set = _label_set(args)
     _require_inputs(args.signal, args.annotations)
-    record, skipped = record_io.load_record(args.signal, args.annotations, fs=args.fs,
-                                            lead_select=args.lead, label_set=label_set,
-                                            strict=args.strict)
+    record = record_io.load_record(args.signal, args.annotations, fs=args.fs,
+                                   lead_select=args.lead)
+    unknown = [sym for sym in record.labels if sym not in label_set]
+    if unknown and args.strict:
+        raise ValidationError(f"{args.annotations}: label {unknown[0]!r} not in "
+                              f"{label_set.symbols}")
     processed = preprocess_mod.preprocess_record(record, to_hz=args.target_fs,
                                                  low=args.low_hz, high=args.high_hz)
     if not np.isfinite(processed.signal).all():
@@ -178,19 +181,18 @@ def cmd_preprocess(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_beats_csv(out / "beats.csv", beats)
-    rr = features_mod.rr_intervals(processed.rpeaks, processed.fs)
-    hrv = features_mod.hrv_stats(rr) if rr.size else (0.0, 0.0, 0.0)
+    hrv = features_mod.record_hrv(processed.rpeaks, processed.fs)
     meta = {"fs": processed.fs, "hrv_mean": hrv[0], "hrv_median": hrv[1],
             "hrv_var": hrv[2], "n_rpeaks": int(len(processed.rpeaks)),
             "n_beats": len(beats), "n_dropped": dropped,
-            "skipped_labels": skipped}
+            "skipped_labels": len(unknown)}
     with open(out / "record_meta.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
     _write_manifest(out / "beats.csv", "preprocess", args,
                     inputs=[args.signal, args.annotations])
     print(f"preprocess: kept {len(beats)} beats, dropped {dropped}, "
-          f"skipped {skipped} unknown labels")
+          f"skipped {len(unknown)} unknown labels")
     return 0
 
 
@@ -208,20 +210,16 @@ def cmd_featurize(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.test_fraction is None:
-        record_io.save_feature_matrix(rows, labels, out)
-        _write_manifest(out, "featurize", args, inputs=[args.beats, meta_path])
-        print(f"featurize: wrote {len(labels)} rows to {out}")
+        parts = [("", out, np.arange(len(labels)))]
     else:
-        train_idx, test_idx = stratified_split(labels, args.test_fraction,
-                                               args.split_seed)
-        train_path = out.with_name(out.stem + "_train" + out.suffix)
-        test_path = out.with_name(out.stem + "_test" + out.suffix)
-        record_io.save_feature_matrix(rows[train_idx], labels[train_idx], train_path)
-        record_io.save_feature_matrix(rows[test_idx], labels[test_idx], test_path)
-        _write_manifest(train_path, "featurize", args, inputs=[args.beats, meta_path])
-        _write_manifest(test_path, "featurize", args, inputs=[args.beats, meta_path])
-        print(f"featurize: wrote {len(train_idx)} train rows to {train_path}, "
-              f"{len(test_idx)} test rows to {test_path}")
+        split = stratified_split(labels, args.test_fraction, args.split_seed)
+        parts = [(f"{name} ", out.with_name(f"{out.stem}_{name}{out.suffix}"), idx)
+                 for name, idx in zip(("train", "test"), split)]
+    for _, path, idx in parts:
+        record_io.save_feature_matrix(rows[idx], labels[idx], path)
+        _write_manifest(path, "featurize", args, inputs=[args.beats, meta_path])
+    print("featurize: wrote " + ", ".join(f"{len(idx)} {name}rows to {path}"
+                                          for name, path, idx in parts))
     return 0
 
 
@@ -285,6 +283,8 @@ def cmd_evaluate(args) -> int:
     _require_inputs(args.model_file, args.features)
     model = load_model(args.model_file)
     rows, labels = record_io.load_feature_matrix(args.features)
+    if not len(labels):
+        raise DataError(f"{args.features}: no feature rows to evaluate")
     pred, _ = predict_batch(model, rows)
     cm = metrics_mod.confusion_matrix(labels, pred, model.n_classes)
     precision, recall, f1, accuracy = metrics_mod.macro_metrics(cm)

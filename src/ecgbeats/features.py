@@ -37,6 +37,12 @@ def hrv_stats(rr) -> tuple:
     return float(np.mean(x)), float(np.median(x)), float(np.var(x))
 
 
+def record_hrv(rpeaks, fs: float) -> tuple:
+    """hrv_stats over all of a record's R-peaks; zeros below two peaks."""
+    rr = rr_intervals(rpeaks, fs)
+    return hrv_stats(rr) if rr.size else (0.0, 0.0, 0.0)
+
+
 def _log(x: np.ndarray) -> np.ndarray:
     # libm's log, value by value: numpy's vectorized log differs from it in
     # the last bit on some inputs, and the feature files are pinned to libm
@@ -51,11 +57,3 @@ def beat_features(beats: Beats, record_hrv: tuple) -> np.ndarray:
     return np.column_stack([beats.samples, hrv, beats.raw_amp,
                             _log(beats.rr_prev), _log(beats.rr_next)])
 
-
-def build_feature_matrix(beats: Beats, rpeaks, fs: float):
-    """Feature rows + label ids for all beats of one record.
-
-    ``rpeaks`` is the record's full R-peak list (not just kept beats): the
-    HRV statistics describe the whole recording.
-    """
-    return beat_features(beats, hrv_stats(rr_intervals(rpeaks, fs))), beats.label

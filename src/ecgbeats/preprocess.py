@@ -1,6 +1,7 @@
 """Signal conditioning of a record's one signal: ``preprocess_record`` resamples
 it to 180 Hz and band-passes it at 0.5-35 Hz; ``segment_beats`` cuts fixed-size
-beats around the annotated R-peaks and ``normalize_beats`` min-max scales each.
+beats around the R-peaks of admitted labels and ``normalize_beats`` min-max
+scales each.
 
 The band-pass is numpy and plain Python, with no scipy import; its design
 and its forward-backward filtering are bit-equal to scipy.signal's ``butter``
@@ -202,27 +203,31 @@ def preprocess_record(record: EcgRecord, to_hz: float = TARGET_FS,
 
 
 def segment_beats(record: EcgRecord, label_set: LabelSet = LabelSet()):
-    """Cut the record's signal into 70-sample beats around each R-peak.
+    """Cut the record's signal into 70-sample beats around its R-peaks.
 
-    A beat is kept only when the window [r-35, r+35) fits inside the record
-    and the peak has both a predecessor and a successor (the RR features need
-    both). Returns ``(beats, dropped_count)``; kept + dropped equals the
+    This is where labels are admitted. A peak becomes a beat only when its
+    label is in ``label_set``, the window [r-35, r+35) fits inside the record,
+    and it has a peak on each side (the RR features need both). Every peak is
+    a neighbour, admitted or not, so ``rr_prev`` and ``rr_next`` are the true
+    intervals. Returns ``(beats, dropped_count)``; a peak of an unadmitted
+    label is skipped, not dropped, so kept + dropped equals the admitted
     R-peak count.
     """
     signal, rpeaks = record.signal, record.rpeaks
-    keep = (rpeaks >= HALF_WINDOW) & (rpeaks + HALF_WINDOW <= signal.shape[0])
+    symbols, inverse = np.unique(np.asarray(record.labels, dtype=str), return_inverse=True)
+    class_of = {s: i for i, s in enumerate(label_set.symbols)}
+    label = np.array([class_of.get(s, -1) for s in symbols.tolist()], dtype=int)[inverse]
+    admitted = label >= 0
+    keep = admitted & (rpeaks >= HALF_WINDOW) & (rpeaks + HALF_WINDOW <= signal.shape[0])
     keep[:1] = keep[-1:] = False
     idx = np.flatnonzero(keep)
     r = rpeaks[idx]
     samples = signal[r[:, None] + np.arange(-HALF_WINDOW, HALF_WINDOW)]
-    symbols, inverse = np.unique(np.asarray(record.labels, dtype=str)[idx],
-                                 return_inverse=True)
-    label = np.array([label_set.id_of(s) for s in symbols.tolist()], dtype=int)[inverse]
-    beats = Beats(samples=samples, rpeak=r, label=label,
+    beats = Beats(samples=samples, rpeak=r, label=label[idx],
                   rr_prev=(r - rpeaks[idx - 1]) / record.fs,
                   rr_next=(rpeaks[idx + 1] - r) / record.fs,
                   raw_amp=np.mean(np.abs(samples), axis=1))
-    return beats, rpeaks.shape[0] - idx.shape[0]
+    return beats, int(np.count_nonzero(admitted)) - idx.shape[0]
 
 
 def normalize_beats(beats: Beats) -> Beats:

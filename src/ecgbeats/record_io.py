@@ -6,7 +6,8 @@ text editor or `xxd`:
 
 * signal CSV      -- no header, one row per sample, 1-2 numeric columns (mV);
   ``load_record`` takes one column, ``lead_select``, as the record's signal
-* annotation CSV  -- header ``sample_index,label``, an ASCII decimal index
+* annotation CSV  -- header ``sample_index,label``, an ASCII decimal index;
+  every row is an R-peak, whatever its label
 * feature CSV     -- header ``f0..f75,label``, 9 significant digits
 * beats CSV       -- header ``s0..s69,rpeak,label,rr_prev,rr_next,raw_amp``,
   one row per beat of a ``Beats``
@@ -70,7 +71,7 @@ class EcgRecord:
 
     signal: np.ndarray   # 1-D float samples, mV
     fs: float            # sampling rate, Hz
-    rpeaks: np.ndarray   # strictly increasing sample indices
+    rpeaks: np.ndarray   # increasing sample indices, no repeats
     labels: list         # one symbol per R-peak
 
     def __post_init__(self):
@@ -154,7 +155,7 @@ def read_numeric_csv(path, header=None, widths=None, int_cols=()):
     line's fields to an error message, or to None when they form a valid
     header. ``widths`` holds the admitted column counts (default: the
     header's field count); every row has the first row's count. Blank lines
-    are skipped. Every value must be finite, and every ``int_cols`` value a
+    are ignored. Every value must be finite, and every ``int_cols`` value a
     whole number below 2**53 in magnitude.
 
     numpy's C parser reads the whole file. Only when it, or a check on the
@@ -189,7 +190,7 @@ def read_numeric_csv(path, header=None, widths=None, int_cols=()):
 
 def line_of_row(path, row: int) -> int:
     """File line number (from 1) of data row ``row`` of a CSV with a header
-    line, counted as read_numeric_csv counts rows (blank lines skipped)."""
+    line, counted as read_numeric_csv counts rows (blank lines ignored)."""
     with open(path, errors="replace") as fh:
         lines = (n for n, line in enumerate(fh, start=1) if n > 1 and line.rstrip("\r\n"))
         return next(itertools.islice(lines, row, None))
@@ -304,37 +305,22 @@ def write_annotations_csv(path, rpeaks, labels) -> None:
         writer.writerows(zip(np.asarray(rpeaks, dtype=int).tolist(), labels))
 
 
-def load_record(signal_path, annotation_path, fs: float, lead_select: int = 0,
-                label_set: LabelSet = LabelSet(), strict: bool = False):
+def load_record(signal_path, annotation_path, fs: float, lead_select: int = 0) -> EcgRecord:
     """Load a record from a signal CSV plus an annotation CSV.
 
-    Annotations are sorted by sample index. Beats whose label is not in
-    ``label_set`` are dropped and counted (or rejected outright with
-    ``strict``). Returns ``(EcgRecord, skipped_label_count)``.
+    Every annotation row is an R-peak, whatever its label; they are sorted by
+    sample index. ``segment_beats`` decides which labels become beats.
     """
     samples = read_signal_csv(signal_path)
     annotations = sorted(read_annotations_csv(annotation_path), key=lambda a: a[0])
-
-    rpeaks, labels, skipped = [], [], 0
-    for idx, sym in annotations:
-        if sym not in label_set:
-            if strict:
-                raise ValidationError(
-                    f"{annotation_path}: label {sym!r} not in {label_set.symbols}"
-                )
-            skipped += 1
-            continue
-        rpeaks.append(idx)
-        labels.append(sym)
-
     if not (is_int(lead_select) and 0 <= lead_select < samples.shape[1]):
         raise ValidationError(
             f"lead {lead_select!r} not available ({samples.shape[1]} columns)"
         )
     # a copy of the column when there are two, so the other is not kept alive
-    record = EcgRecord(signal=np.ascontiguousarray(samples[:, lead_select]), fs=fs,
-                       rpeaks=np.asarray(rpeaks, dtype=int), labels=labels)
-    return record, skipped
+    return EcgRecord(signal=np.ascontiguousarray(samples[:, lead_select]), fs=fs,
+                     rpeaks=np.asarray([idx for idx, _ in annotations], dtype=int),
+                     labels=[sym for _, sym in annotations])
 
 
 # ---------------------------------------------------------------------------

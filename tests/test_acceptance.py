@@ -15,7 +15,7 @@ import pytest
 
 from ecgbeats.balance import BalancePlan, apply_plan, smote
 from ecgbeats.encode import MtfConfig, gasf, mtf, paa, quantile_bins, recurrence, transition_matrix
-from ecgbeats.features import build_feature_matrix
+from ecgbeats.features import beat_features, record_hrv
 from ecgbeats.metrics import confusion_matrix, macro_metrics
 from ecgbeats.model import (GbdtParams, RfParams, fit_gbdt, fit_random_forest,
                             load_model, predict_batch, save_model)
@@ -52,8 +52,8 @@ def e2e():
     def features(record):
         processed = preprocess_record(record)
         beats, _ = segment_beats(processed)
-        return build_feature_matrix(normalize_beats(beats),
-                                    processed.rpeaks, processed.fs)
+        hrv = record_hrv(processed.rpeaks, processed.fs)
+        return beat_features(normalize_beats(beats), hrv), beats.label
 
     x_train, y_train = features(train_record)
     x_test, y_test = features(test_record)

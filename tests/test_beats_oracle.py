@@ -2,7 +2,8 @@
 code it replaced, which lives on here only as the oracle.
 
 Segmentation, normalization and feature rows must be bit-equal to the
-oracle's, beat by beat, and both must refuse the same inputs.
+oracle's, beat by beat. An R-peak whose label is not admitted is never a
+beat, but it is the neighbour of the beats on either side of it.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ecgbeats.errors import ValidationError
-from ecgbeats.features import N_FEATURES, beat_features, hrv_stats, rr_intervals
+from ecgbeats.features import N_FEATURES, beat_features, record_hrv
 from ecgbeats.preprocess import BEAT_LEN, HALF_WINDOW, normalize_beats, segment_beats
 from ecgbeats.record_io import Beats, EcgRecord, LabelSet
 
@@ -40,6 +41,8 @@ def oracle_segment_beats(record, label_set=LabelSet()):
     rpeaks = record.rpeaks
     beats, dropped = [], 0
     for i, r in enumerate(rpeaks):
+        if record.labels[i] not in label_set:
+            continue   # skipped, neither kept nor dropped
         has_context = 0 < i < len(rpeaks) - 1
         if not has_context or r - HALF_WINDOW < 0 or r + HALF_WINDOW > n:
             dropped += 1
@@ -102,13 +105,8 @@ def assert_beats_equal(got, want):
 
 
 def assert_pipeline_matches_oracle(record):
-    """Segment, normalize and featurize both ways; refusals must agree too."""
-    try:
-        want, want_dropped = oracle_segment_beats(record)
-    except ValidationError:
-        with pytest.raises(ValidationError):
-            segment_beats(record)
-        return
+    """Segment, normalize and featurize both ways."""
+    want, want_dropped = oracle_segment_beats(record)
     beats, dropped = segment_beats(record)
     assert dropped == want_dropped
     assert_beats_equal(beats, want)
@@ -116,8 +114,7 @@ def assert_pipeline_matches_oracle(record):
     normalized, want = normalize_beats(beats), oracle_normalize_beats(want)
     assert_beats_equal(normalized, want)
 
-    rr = rr_intervals(record.rpeaks, record.fs)
-    hrv = hrv_stats(rr) if rr.size else (0.0, 0.0, 0.0)
+    hrv = record_hrv(record.rpeaks, record.fs)
     rows = beat_features(normalized, hrv)
     assert rows.shape == (len(want), N_FEATURES)
     want_rows = np.reshape([oracle_beat_features(b, hrv) for b in want], (-1, N_FEATURES))
@@ -202,11 +199,12 @@ def test_rr_logs_are_libm_logs():
     assert bits(rows[:, 75]).tolist() == bits([math.log(v) for v in rr[::-1]]).tolist()
 
 
-def test_unknown_label_on_a_kept_beat_rejected():
+@pytest.mark.parametrize("labels", [list("NNQN"), list("QNQN")], ids=["NNQN", "QNQN"])
+def test_unknown_label_is_a_neighbour_never_a_beat(labels):
     record = EcgRecord(signal=np.arange(300.0), fs=180.0, rpeaks=[50, 120, 190, 260],
-                       labels=["Q", "N", "Q", "N"])
-    with pytest.raises(ValidationError, match="unknown label symbol 'Q'"):
-        segment_beats(record)
-    # a dropped beat's label is never looked up
-    record.labels[2] = "S"
-    assert segment_beats(record)[0].label.tolist() == [0, 1]
+                       labels=labels)
+    beats, dropped = segment_beats(record)
+    # only the peak at 120 is an admitted label with a peak on each side
+    assert beats.rpeak.tolist() == [120] and dropped == labels.count("N") - 1
+    assert beats.rr_prev.tolist() == beats.rr_next.tolist() == [70 / 180.0]
+    assert_pipeline_matches_oracle(record)

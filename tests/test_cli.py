@@ -11,8 +11,9 @@ import pytest
 
 from ecgbeats import cli
 from ecgbeats.model import GbdtParams, RfParams
-from ecgbeats.record_io import (BEAT_LEN, Beats, load_feature_matrix, save_feature_matrix,
-                                write_beats_csv)
+from ecgbeats.record_io import (BEAT_LEN, Beats, load_feature_matrix, read_beats_csv,
+                                save_feature_matrix, write_annotations_csv, write_beats_csv,
+                                write_signal_csv)
 
 
 def run(*argv):
@@ -46,6 +47,7 @@ class TestPipeline:
         meta = json.loads((pipeline_dir / "pre" / "record_meta.json").read_text())
         assert meta["fs"] == 180.0
         assert meta["n_beats"] == 90
+        assert meta["skipped_labels"] == 0
         assert meta["n_beats"] + meta["n_dropped"] == meta["n_rpeaks"]
 
     def test_split_is_stratified_and_disjoint(self, pipeline_dir):
@@ -579,7 +581,7 @@ class TestErrors:
         assert "label symbols must be unique and non-empty" in capsys.readouterr().err
         assert not (tmp_path / "pre").exists()
 
-    def test_strict_unknown_label(self, tmp_path):
+    def test_strict_unknown_label(self, tmp_path, capsys):
         d = tmp_path / "raw"
         assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
         ann = d / "annotations.csv"
@@ -587,9 +589,53 @@ class TestErrors:
         assert run("preprocess", "--signal", d / "signal.csv", "--annotations", ann,
                    "--fs", 250, "--out-dir", tmp_path / "clean",
                    "--strict") == 1
+        assert f"{ann}: label 'Q' not in ('N', 'S', 'V')" in capsys.readouterr().err
+        assert not (tmp_path / "clean").exists()
         # non-strict skips and succeeds
         assert run("preprocess", "--signal", d / "signal.csv", "--annotations", ann,
                    "--fs", 250, "--out-dir", tmp_path / "clean") == 0
+
+    def test_rr_spans_every_annotated_peak(self, tmp_path):
+        # N N Q N N N, one peak a second: the Q is no beat, but the beats on
+        # either side of it are 1 s from it, and the HRV counts all 6 peaks
+        signal = np.random.default_rng(0).normal(scale=0.1, size=7 * 250)
+        write_signal_csv(tmp_path / "s.csv", signal)
+        write_annotations_csv(tmp_path / "a.csv", [250 * k for k in range(1, 7)], "NNQNNN")
+        assert run("preprocess", "--signal", tmp_path / "s.csv",
+                   "--annotations", tmp_path / "a.csv", "--fs", 250,
+                   "--out-dir", tmp_path / "pre") == 0
+        beats = read_beats_csv(tmp_path / "pre" / "beats.csv")
+        assert beats.rpeak.tolist() == [360, 720, 900]
+        assert beats.rr_prev.tolist() == beats.rr_next.tolist() == [1.0, 1.0, 1.0]
+        meta = json.loads((tmp_path / "pre" / "record_meta.json").read_text())
+        assert (meta["n_rpeaks"], meta["n_beats"], meta["n_dropped"],
+                meta["skipped_labels"]) == (6, 3, 2, 1)
+        assert (meta["hrv_mean"], meta["hrv_median"], meta["hrv_var"]) == (1.0, 1.0, 0.0)
+
+    def test_unknown_label_duplicating_a_peak_refused(self, tmp_path, capsys):
+        d = tmp_path / "raw"
+        assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
+        ann = d / "annotations.csv"
+        peak = ann.read_text().splitlines()[3].split(",")[0]
+        ann.write_text(ann.read_text() + f"{peak},Q\n")
+        assert run("preprocess", "--signal", d / "signal.csv", "--annotations", ann,
+                   "--fs", 250, "--out-dir", tmp_path / "pre") == 1
+        assert "R-peak indices must be strictly increasing" in capsys.readouterr().err
+        assert not (tmp_path / "pre").exists()
+
+    def test_evaluate_of_a_file_with_no_rows_names_it(self, tmp_path, capsys,
+                                                      pipeline_dir):
+        model = tmp_path / "m.txt"
+        assert run("train", "--features", pipeline_dir / "features_train.csv",
+                   "--out", model, "--n-estimators", 1, "--max-depth", 2,
+                   "--min-data-in-leaf", 2) == 0
+        empty = tmp_path / "empty.csv"
+        save_feature_matrix(np.empty((0, 76)), np.empty(0, dtype=int), empty)
+        code = run("evaluate", "--model-file", model, "--features", empty,
+                   "--out-dir", tmp_path / "eval")
+        assert code == 2
+        assert f"{empty}: no feature rows" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
 
 class TestConfigFile:

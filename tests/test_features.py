@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ecgbeats.errors import ValidationError
-from ecgbeats.features import (N_FEATURES, beat_features, build_feature_matrix,
-                               hrv_stats, rr_intervals)
+from ecgbeats.features import (N_FEATURES, beat_features, hrv_stats, record_hrv,
+                               rr_intervals)
 from ecgbeats.preprocess import BEAT_LEN, normalize_beats
 from ecgbeats.record_io import Beats
 
@@ -69,6 +69,10 @@ class TestHrvStats:
         with pytest.raises(ValidationError):
             hrv_stats([])
 
+    def test_record_hrv_is_zero_below_two_peaks(self):
+        assert record_hrv([], 180.0) == record_hrv([42], 180.0) == (0.0, 0.0, 0.0)
+        assert record_hrv([0, 90, 360], 180.0) == hrv_stats([0.5, 1.5])
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         rr = rng.uniform(0.5, 1.5, size=21)
@@ -128,8 +132,8 @@ class TestBuildFeatureMatrix:
         beats = Beats(samples=np.zeros((3, BEAT_LEN)), rpeak=np.array([100, 200, 300]),
                       label=np.array([0, 2, 1]), rr_prev=np.ones(3), rr_next=np.ones(3),
                       raw_amp=np.full(3, 0.5))
-        rows, labels = build_feature_matrix(beats, [0, 180, 360, 540], 180.0)
+        rows = beat_features(beats, record_hrv([0, 180, 360, 540], 180.0))
         assert rows.shape == (3, N_FEATURES)
-        assert labels.tolist() == [0, 2, 1]
+        assert beats.label.tolist() == [0, 2, 1]
         # record HRV is repeated on every row
         assert np.all(rows[:, 70] == 1.0)

@@ -18,34 +18,28 @@ class TestLoadRecord:
     def test_minimal_record(self, tmp_path):
         sig = _write(tmp_path / "s.csv", "0.0\n1.0\n0.5\n")
         ann = _write(tmp_path / "a.csv", "sample_index,label\n1,N\n")
-        record, skipped = load_record(sig, ann, fs=250.0)
+        record = load_record(sig, ann, fs=250.0)
+        assert isinstance(record, EcgRecord)
         assert record.rpeaks.tolist() == [1]
         assert record.labels == ["N"]
-        assert skipped == 0
 
     def test_out_of_order_annotations_sorted(self, tmp_path):
         sig = _write(tmp_path / "s.csv", "\n".join("0.0" for _ in range(10)) + "\n")
         ann = _write(tmp_path / "a.csv", "sample_index,label\n5,V\n2,N\n")
-        record, _ = load_record(sig, ann, fs=250.0)
+        record = load_record(sig, ann, fs=250.0)
         assert record.rpeaks.tolist() == [2, 5]
         assert record.labels == ["N", "V"]
 
-    def test_unknown_label_skipped_with_count(self, tmp_path):
+    def test_every_row_is_a_peak_whatever_its_label(self, tmp_path):
         sig = _write(tmp_path / "s.csv", "\n".join("0.0" for _ in range(10)) + "\n")
         ann = _write(tmp_path / "a.csv",
-                     "sample_index,label\n1,N\n3,Q\n5,V\n7,Q\n")
-        record, skipped = load_record(sig, ann, fs=250.0)
-        # oracle: count unknown symbols straight off the file
-        unknown = sum(1 for line in ann.read_text().splitlines()[1:]
-                      if line.split(",")[1] not in ("N", "S", "V"))
-        assert skipped == unknown == 2
-        assert record.labels == ["N", "V"]
-
-    def test_strict_mode_rejects_unknown_label(self, tmp_path):
-        sig = _write(tmp_path / "s.csv", "0.0\n0.0\n0.0\n")
-        ann = _write(tmp_path / "a.csv", "sample_index,label\n1,Q\n")
-        with pytest.raises(ValidationError):
-            load_record(sig, ann, fs=250.0, strict=True)
+                     "sample_index,label\n7,Q\n1,N\n3,Q\n5,V\n")
+        record = load_record(sig, ann, fs=250.0)
+        # oracle: the file's rows, sorted by index, labels untouched
+        rows = sorted((int(i), sym) for i, sym in
+                      (line.split(",") for line in ann.read_text().splitlines()[1:]))
+        assert list(zip(record.rpeaks.tolist(), record.labels)) == rows
+        assert record.labels == ["N", "Q", "V", "Q"]
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         sig = _write(tmp_path / "s.csv", "0.0\nnot-a-number\n0.0\n")
@@ -74,7 +68,7 @@ class TestLoadRecord:
     def test_lead_selection(self, tmp_path):
         sig = _write(tmp_path / "s.csv", "0.0,1.0\n0.1,1.1\n0.2,1.2\n")
         ann = _write(tmp_path / "a.csv", "sample_index,label\n1,N\n")
-        record, _ = load_record(sig, ann, fs=250.0, lead_select=1)
+        record = load_record(sig, ann, fs=250.0, lead_select=1)
         assert np.allclose(record.signal, [1.0, 1.1, 1.2])
         for lead in (2, None):
             with pytest.raises(ValidationError, match=f"lead {lead} not available"):
@@ -84,7 +78,7 @@ class TestLoadRecord:
         sig = _write(tmp_path / "s.csv", "0.0,1.0\n0.1,1.1\n0.2,1.2\n")
         ann = _write(tmp_path / "a.csv", "sample_index,label\n1,N\n")
         for lead in (0, 1):
-            record, _ = load_record(sig, ann, fs=250.0, lead_select=lead)
+            record = load_record(sig, ann, fs=250.0, lead_select=lead)
             assert record.signal.flags.c_contiguous
             # a column view would have the whole (3, 2) array as its base
             assert record.signal.base is None
@@ -93,7 +87,7 @@ class TestLoadRecord:
         signal = np.linspace(-1, 1, 50)
         write_signal_csv(tmp_path / "s.csv", signal)
         write_annotations_csv(tmp_path / "a.csv", [3, 17, 40], ["N", "V", "S"])
-        record, _ = load_record(tmp_path / "s.csv", tmp_path / "a.csv", fs=250.0)
+        record = load_record(tmp_path / "s.csv", tmp_path / "a.csv", fs=250.0)
         assert np.allclose(record.signal, signal, atol=1e-9)
         assert record.rpeaks.tolist() == [3, 17, 40]
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecgbeats.errors import ValidationError
-from ecgbeats.features import build_feature_matrix
+from ecgbeats.features import beat_features, record_hrv
 from ecgbeats.model import GbdtParams, fit_gbdt, predict_batch
 from ecgbeats.preprocess import normalize_beats, preprocess_record, segment_beats
 from ecgbeats.synth import SynthConfig, generate
@@ -11,8 +11,8 @@ from ecgbeats.synth import SynthConfig, generate
 def run_pipeline(record):
     processed = preprocess_record(record)
     beats, _ = segment_beats(processed)
-    beats = normalize_beats(beats)
-    return build_feature_matrix(beats, processed.rpeaks, processed.fs)
+    rows = beat_features(normalize_beats(beats), record_hrv(processed.rpeaks, processed.fs))
+    return rows, beats.label
 
 
 class TestGenerate:
