@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ecgbeats import cli
 from ecgbeats.errors import DataError, ParseError, ValidationError
 from ecgbeats.record_io import (EcgRecord, LabelSet, export_image,
                                 load_feature_matrix, load_image_f32,
@@ -40,6 +41,17 @@ class TestLoadRecord:
                       (line.split(",") for line in ann.read_text().splitlines()[1:]))
         assert list(zip(record.rpeaks.tolist(), record.labels)) == rows
         assert record.labels == ["N", "Q", "V", "Q"]
+
+    def test_strict_mode_rejects_unknown_label(self, tmp_path, capsys):
+        # load_record keeps the Q row, so strict preprocess sees and refuses it
+        sig = _write(tmp_path / "s.csv", "0.0\n0.0\n0.0\n")
+        ann = _write(tmp_path / "a.csv", "sample_index,label\n1,Q\n")
+        assert load_record(sig, ann, fs=250.0).labels == ["Q"]
+        code = cli.main(["preprocess", "--signal", str(sig), "--annotations", str(ann),
+                         "--fs", "250", "--out-dir", str(tmp_path / "pre"), "--strict"])
+        assert code == 1
+        assert f"{ann}: label 'Q' not in ('N', 'S', 'V')" in capsys.readouterr().err
+        assert not (tmp_path / "pre").exists()
 
     def test_malformed_row_reports_line_number(self, tmp_path):
         sig = _write(tmp_path / "s.csv", "0.0\nnot-a-number\n0.0\n")
