@@ -9,7 +9,7 @@ external image classifiers.
 from .balance import BalancePlan, apply_plan, smote, undersample
 from .encode import MtfConfig, encode_beat, gasf, mtf, paa, recurrence
 from .errors import DataError, ParseError, ValidationError
-from .features import beat_features, hrv_stats, record_hrv, rr_intervals
+from .features import beat_features, record_hrv
 from .metrics import confusion_matrix, macro_metrics
 from .model import (EnsembleModel, GbdtParams, RfParams, fit_gbdt,
                     fit_random_forest, grid_search, load_model, predict_batch,

@@ -74,10 +74,13 @@ def _check_config(stage: str, action: argparse.Action, value) -> None:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _require_inputs(*paths) -> None:
-    missing = [str(p) for p in paths if not Path(p).exists()]
+def _require_inputs(*paths) -> list:
+    """The stage's input paths as the manifest records them; each must exist."""
+    paths = [str(p) for p in paths]
+    missing = [p for p in paths if not Path(p).exists()]
     if missing:
         raise DataError("missing stage input(s): " + ", ".join(missing))
+    return paths
 
 
 def _read_json(path, error=ValidationError):
@@ -98,17 +101,21 @@ def _manifest_params(args) -> dict:
     return out
 
 
-def _write_manifest(target, stage: str, args, inputs=()) -> None:
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _write_manifest(target, args, inputs=()) -> None:
     payload = {
-        "stage": stage,
+        "stage": args.stage,
         "params": _manifest_params(args),
-        "inputs": [str(p) for p in inputs],
+        "inputs": list(inputs),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     payload["config_sha256"] = hashlib.sha256(canonical.encode()).hexdigest()
-    with open(f"{target}.manifest.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(f"{target}.manifest.json", payload)
 
 
 def _label_set(args) -> LabelSet:
@@ -149,7 +156,7 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     record_io.write_signal_csv(out / "signal.csv", record.signal)
     record_io.write_annotations_csv(out / "annotations.csv", record.rpeaks, record.labels)
-    _write_manifest(out / "signal.csv", "synth", args)
+    _write_manifest(out / "signal.csv", args)
     print(f"synth: wrote {len(record.rpeaks)} beats at {args.fs} Hz to {out}")
     return 0
 
@@ -163,7 +170,7 @@ def cmd_preprocess(args) -> int:
          f"band low_hz={low!r}, high_hz={high!r} must satisfy 0 < low_hz < high_hz < target_fs/2"),
     ])
     label_set = _label_set(args)
-    _require_inputs(args.signal, args.annotations)
+    inputs = _require_inputs(args.signal, args.annotations)
     record = record_io.load_record(args.signal, args.annotations, fs=args.fs,
                                    lead_select=args.lead)
     unknown = [sym for sym in record.labels if sym not in label_set]
@@ -181,16 +188,11 @@ def cmd_preprocess(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_beats_csv(out / "beats.csv", beats)
-    hrv = features_mod.record_hrv(processed.rpeaks, processed.fs)
-    meta = {"fs": processed.fs, "hrv_mean": hrv[0], "hrv_median": hrv[1],
-            "hrv_var": hrv[2], "n_rpeaks": int(len(processed.rpeaks)),
-            "n_beats": len(beats), "n_dropped": dropped,
-            "skipped_labels": len(unknown)}
-    with open(out / "record_meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _write_manifest(out / "beats.csv", "preprocess", args,
-                    inputs=[args.signal, args.annotations])
+    meta = dict(zip(features_mod.HRV_KEYS, features_mod.record_hrv(processed)),
+                fs=processed.fs, n_rpeaks=len(processed.rpeaks), n_beats=len(beats),
+                n_dropped=dropped, skipped_labels=len(unknown))
+    _write_json(out / "record_meta.json", meta)
+    _write_manifest(out / "beats.csv", args, inputs)
     print(f"preprocess: kept {len(beats)} beats, dropped {dropped}, "
           f"skipped {len(unknown)} unknown labels")
     return 0
@@ -198,10 +200,10 @@ def cmd_preprocess(args) -> int:
 
 def cmd_featurize(args) -> int:
     meta_path = args.meta or Path(args.beats).parent / "record_meta.json"
-    _require_inputs(args.beats, meta_path)
+    inputs = _require_inputs(args.beats, meta_path)
     beats = read_beats_csv(args.beats)
     meta = _read_json(meta_path, DataError)
-    keys = ("hrv_mean", "hrv_median", "hrv_var")
+    keys = features_mod.HRV_KEYS
     if not (isinstance(meta, dict) and all(is_real(meta.get(k)) for k in keys)):
         raise DataError(f"{meta_path}: expected finite numbers {', '.join(keys)}")
     hrv = tuple(meta[k] for k in keys)
@@ -217,7 +219,7 @@ def cmd_featurize(args) -> int:
                  for name, idx in zip(("train", "test"), split)]
     for _, path, idx in parts:
         record_io.save_feature_matrix(rows[idx], labels[idx], path)
-        _write_manifest(path, "featurize", args, inputs=[args.beats, meta_path])
+        _write_manifest(path, args, inputs)
     print("featurize: wrote " + ", ".join(f"{len(idx)} {name}rows to {path}"
                                           for name, path, idx in parts))
     return 0
@@ -227,12 +229,12 @@ def cmd_balance(args) -> int:
     label_set = _label_set(args)
     plan = balance_mod.BalancePlan(targets=_parse_targets(args.targets, label_set),
                                    k_neighbors=args.k_neighbors, seed=args.seed)
-    _require_inputs(args.features)
+    inputs = _require_inputs(args.features)
     rows, labels = record_io.load_feature_matrix(args.features)
     metrics_mod.check_labels(labels, len(label_set))
     rows, labels = balance_mod.apply_plan(rows, labels, plan)
     record_io.save_feature_matrix(rows, labels, args.out)
-    _write_manifest(args.out, "balance", args, inputs=[args.features])
+    _write_manifest(args.out, args, inputs)
     histogram = {label_set.symbol_of(c): int(n)
                  for c, n in zip(*np.unique(labels, return_counts=True))}
     print(f"balance: wrote {len(labels)} rows, histogram {histogram}")
@@ -241,7 +243,7 @@ def cmd_balance(args) -> int:
 
 def cmd_encode(args) -> int:
     cfg = MtfConfig(n_bins=args.mtf_bins)
-    _require_inputs(args.beats)
+    inputs = _require_inputs(args.beats)
     beats = read_beats_csv(args.beats)
     bad = np.flatnonzero(out_of_range(beats.samples))
     if bad.size:
@@ -258,7 +260,7 @@ def cmd_encode(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["stem", "label"])
         writer.writerows(zip(stems, beats.label.tolist()))
-    _write_manifest(out / "index.csv", "encode", args, inputs=[args.beats])
+    _write_manifest(out / "index.csv", args, inputs)
     print(f"encode: wrote {len(beats)} images to {out}")
     return 0
 
@@ -269,18 +271,18 @@ def cmd_train(args) -> int:
     flags = dict(vars(args), max_depth=args.rf_max_depth) if args.model == "rf" else vars(args)
     params = param_cls(**{f.name: flags[f.name] for f in fields(param_cls)})
     label_set = _label_set(args)
-    _require_inputs(args.features)
+    inputs = _require_inputs(args.features)
     rows, labels = record_io.load_feature_matrix(args.features)
     model = fit(rows, labels, params, n_classes=len(label_set))
     save_model(model, args.out)
-    _write_manifest(args.out, "train", args, inputs=[args.features])
+    _write_manifest(args.out, args, inputs)
     print(f"train: fitted {args.model} on {len(labels)} rows "
           f"({len(model.trees)} trees) -> {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    _require_inputs(args.model_file, args.features)
+    inputs = _require_inputs(args.model_file, args.features)
     model = load_model(args.model_file)
     rows, labels = record_io.load_feature_matrix(args.features)
     if not len(labels):
@@ -296,8 +298,7 @@ def cmd_evaluate(args) -> int:
     metrics_mod.write_metrics_csv(out / "metrics.csv", [report])
     with open(out / "confusion.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(cm.tolist())
-    _write_manifest(out / "metrics.csv", "evaluate", args,
-                    inputs=[args.model_file, args.features])
+    _write_manifest(out / "metrics.csv", args, inputs)
     print(metrics_mod.format_report([report]))
     return 0
 
@@ -307,7 +308,7 @@ def cmd_gridsearch(args) -> int:
     if args.targets is not None:
         plan = balance_mod.BalancePlan(targets=_parse_targets(args.targets, label_set),
                                        k_neighbors=args.k_neighbors, seed=args.seed)
-    _require_inputs(args.features, args.grid)
+    inputs = _require_inputs(args.features, args.grid)
     raw_grid = _read_json(args.grid)
     if not isinstance(raw_grid, list) or not raw_grid:
         raise ValidationError(f"{args.grid}: expected a non-empty JSON list of parameter objects")
@@ -333,18 +334,15 @@ def cmd_gridsearch(args) -> int:
                              f"{r.mean_f1:.6f}",
                              " ".join(f"{s:.6f}" for s in r.fold_f1)])
     best_index = next(r.index for r in results if r.params is best)
-    with open(out / "best_params.json", "w") as fh:
-        json.dump(raw_grid[best_index], fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _write_manifest(out / "results.csv", "gridsearch", args,
-                    inputs=[args.features, args.grid])
+    _write_json(out / "best_params.json", raw_grid[best_index])
+    _write_manifest(out / "results.csv", args, inputs)
     print(f"gridsearch: best combination #{best_index} "
           f"(mean macro F1 {results[best_index].mean_f1:.4f})")
     return 0
 
 
 def cmd_report(args) -> int:
-    _require_inputs(*args.metrics)
+    inputs = _require_inputs(*args.metrics)
     reports = []
     for path in args.metrics:
         reports.extend(metrics_mod.read_metrics_csv(path))
@@ -352,7 +350,7 @@ def cmd_report(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        _write_manifest(args.out, "report", args, inputs=args.metrics)
+        _write_manifest(args.out, args, inputs)
     print(text)
     return 0
 

@@ -14,33 +14,21 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .record_io import Beats
+from .record_io import Beats, EcgRecord
 
 N_FEATURES = 76
 
 
-def rr_intervals(rpeaks, fs: float) -> np.ndarray:
-    """Consecutive R-peak spacings in seconds; empty for fewer than 2 peaks."""
-    if fs <= 0:
-        raise ValidationError(f"sampling rate must be positive, got {fs}")
-    peaks = np.asarray(rpeaks, dtype=float)
-    if peaks.shape[0] < 2:
-        return np.empty(0)
-    return np.diff(peaks) / fs
+HRV_KEYS = ("hrv_mean", "hrv_median", "hrv_var")   # record_hrv's values, by name
 
 
-def hrv_stats(rr) -> tuple:
-    """(mean, median, population variance) of an RR-interval sequence."""
-    x = np.asarray(rr, dtype=float)
-    if x.shape[0] == 0:
-        raise ValidationError("hrv_stats needs at least one RR interval")
-    return float(np.mean(x)), float(np.median(x)), float(np.var(x))
-
-
-def record_hrv(rpeaks, fs: float) -> tuple:
-    """hrv_stats over all of a record's R-peaks; zeros below two peaks."""
-    rr = rr_intervals(rpeaks, fs)
-    return hrv_stats(rr) if rr.size else (0.0, 0.0, 0.0)
+def record_hrv(record: EcgRecord) -> tuple:
+    """(mean, median, population variance) of the record's RR intervals in
+    seconds, taken over every R-peak; zeros below two peaks."""
+    rr = np.diff(record.rpeaks.astype(float)) / record.fs
+    if not rr.size:
+        return 0.0, 0.0, 0.0
+    return float(np.mean(rr)), float(np.median(rr)), float(np.var(rr))
 
 
 def _log(x: np.ndarray) -> np.ndarray:

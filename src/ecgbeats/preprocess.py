@@ -34,10 +34,10 @@ def resample(signal, from_hz: float, to_hz: float) -> np.ndarray:
     x = np.asarray(signal, dtype=float)
     if from_hz <= 0 or to_hz <= 0:
         raise ValidationError("sampling rates must be positive")
-    if x.shape[0] < 2:
-        raise ValidationError(f"need at least 2 samples to resample, got {x.shape[0]}")
     if from_hz == to_hz:
         return x.copy()
+    if x.shape[0] < 2:
+        raise ValidationError(f"need at least 2 samples to resample, got {x.shape[0]}")
     n_out = int(round(x.shape[0] * to_hz / from_hz))
     positions = np.arange(n_out) * (from_hz / to_hz)
     return np.interp(positions, np.arange(x.shape[0]), x)
@@ -52,7 +52,11 @@ def bandpass_sos(low: float, high: float, fs: float) -> np.ndarray:
     "nearest" pairing), so every rounding, tie and ordering falls the same way.
     """
     n = FILTER_ORDER
-    wn = np.asarray([low, high], dtype=np.float64) / (float(fs) / 2)
+    nyquist = float(fs) / 2
+    if not nyquist > 0:    # NaN too; a negative fs would flip the band's sign
+        raise ValidationError(f"sampling rate must have fs/2 > 0, got fs = {fs}")
+    with np.errstate(over="ignore", invalid="ignore"):    # inf and NaN fail the check
+        wn = np.asarray([low, high], dtype=np.float64) / nyquist
     if not 0 < wn[0] < wn[1] < 1:
         raise ValidationError(f"band ({low}, {high}) Hz at fs = {fs} Hz normalizes to "
                               f"({wn[0]}, {wn[1]}), not an interval inside (0, 1)")
@@ -170,10 +174,6 @@ def bandpass_filter(signal, fs: float, low: float = BAND_LOW_HZ,
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.shape[0] == 0:
         raise ValidationError(f"need a non-empty 1-D signal to filter, got shape {x.shape}")
-    if not 0 < low < high < fs / 2:
-        raise ValidationError(
-            f"band ({low}, {high}) Hz must satisfy 0 < low < high < fs/2 = {fs / 2}"
-        )
     sos = bandpass_sos(low, high, fs)
     try:
         zi = _steady_state(sos)
@@ -190,16 +190,15 @@ def bandpass_filter(signal, fs: float, low: float = BAND_LOW_HZ,
 
 def preprocess_record(record: EcgRecord, to_hz: float = TARGET_FS,
                       low: float = BAND_LOW_HZ, high: float = BAND_HIGH_HZ) -> EcgRecord:
-    """Resample to to_hz (remapping the R-peaks onto the new grid), then band-pass."""
-    signal, fs, rpeaks = record.signal, record.fs, record.rpeaks
-    if fs != to_hz:
-        signal = resample(signal, fs, to_hz)
-        rpeaks = np.minimum(np.rint(rpeaks * (to_hz / fs)).astype(int), signal.shape[0] - 1)
-        if np.any(np.diff(rpeaks) <= 0):
-            raise ValidationError("R-peaks collided while resampling")
-        fs = to_hz
-    return EcgRecord(signal=bandpass_filter(signal, fs, low, high), fs=fs, rpeaks=rpeaks,
-                     labels=list(record.labels))
+    """Resample to to_hz (remapping the R-peaks onto the new grid), then band-pass.
+    At equal rates the resampling and the remapping are the identity."""
+    signal = resample(record.signal, record.fs, to_hz)
+    rpeaks = np.minimum(np.rint(record.rpeaks * (to_hz / record.fs)).astype(int),
+                        signal.shape[0] - 1)
+    if np.any(np.diff(rpeaks) <= 0):
+        raise ValidationError("R-peaks collided while resampling")
+    return EcgRecord(signal=bandpass_filter(signal, to_hz, low, high), fs=to_hz,
+                     rpeaks=rpeaks, labels=list(record.labels))
 
 
 def segment_beats(record: EcgRecord, label_set: LabelSet = LabelSet()):

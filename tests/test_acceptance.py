@@ -52,7 +52,7 @@ def e2e():
     def features(record):
         processed = preprocess_record(record)
         beats, _ = segment_beats(processed)
-        hrv = record_hrv(processed.rpeaks, processed.fs)
+        hrv = record_hrv(processed)
         return beat_features(normalize_beats(beats), hrv), beats.label
 
     x_train, y_train = features(train_record)

@@ -114,7 +114,7 @@ def assert_pipeline_matches_oracle(record):
     normalized, want = normalize_beats(beats), oracle_normalize_beats(want)
     assert_beats_equal(normalized, want)
 
-    hrv = record_hrv(record.rpeaks, record.fs)
+    hrv = record_hrv(record)
     rows = beat_features(normalized, hrv)
     assert rows.shape == (len(want), N_FEATURES)
     want_rows = np.reshape([oracle_beat_features(b, hrv) for b in want], (-1, N_FEATURES))

@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ecgbeats.errors import ValidationError
-from ecgbeats.features import (N_FEATURES, beat_features, hrv_stats, record_hrv,
-                               rr_intervals)
+from ecgbeats.features import N_FEATURES, beat_features, record_hrv
 from ecgbeats.preprocess import BEAT_LEN, normalize_beats
-from ecgbeats.record_io import Beats
+from ecgbeats.record_io import Beats, EcgRecord
 
 
 def _beat(samples=None, rr_prev=1.0, rr_next=1.0, raw_amp=0.5, label=0):
@@ -31,54 +30,60 @@ def normalize_beat(samples):
     return normalize_beats(_beat(samples)).samples[0]
 
 
+def _record(rpeaks):
+    """A 180 Hz record with these R-peaks; record_hrv reads only its peaks and rate."""
+    rpeaks = np.asarray(rpeaks, dtype=int)
+    n = int(rpeaks[-1]) + 1 if rpeaks.size else 1
+    return EcgRecord(signal=np.zeros(n), fs=180.0, rpeaks=rpeaks, labels=["N"] * rpeaks.size)
+
+
+def _hrv_of_intervals(samples):
+    """record_hrv of a 180 Hz record whose RR intervals are these sample counts."""
+    return record_hrv(_record(np.concatenate(([0], np.cumsum(samples)))))
+
+
 class TestRrIntervals:
+    """The RR intervals record_hrv takes, seen through its mean and median."""
+
     def test_equal_spacing(self):
-        assert np.allclose(rr_intervals([100, 280, 460], 180.0), [1.0, 1.0])
+        assert record_hrv(_record([100, 280, 460])) == pytest.approx((1.0, 1.0, 0.0))
 
     def test_half_second(self):
-        assert np.allclose(rr_intervals([0, 90], 180.0), [0.5])
+        assert record_hrv(_record([0, 90])) == (0.5, 0.5, 0.0)
 
     def test_fewer_than_two_peaks(self):
-        assert rr_intervals([42], 180.0).shape == (0,)
-        assert rr_intervals([], 180.0).shape == (0,)
+        assert record_hrv(_record([])) == record_hrv(_record([42])) == (0.0, 0.0, 0.0)
 
     @given(st.lists(st.integers(0, 10_000), min_size=2, max_size=50, unique=True))
     def test_telescoping_sum(self, peaks):
         peaks = sorted(peaks)
-        rr = rr_intervals(peaks, 180.0)
-        assert np.sum(rr) == pytest.approx((peaks[-1] - peaks[0]) / 180.0)
+        mean, _, _ = record_hrv(_record(peaks))
+        assert mean * (len(peaks) - 1) == pytest.approx((peaks[-1] - peaks[0]) / 180.0)
 
 
 class TestHrvStats:
     def test_hand_computed_values(self):
-        mean, median, var = hrv_stats([0.8, 1.0, 1.2])
+        mean, median, var = _hrv_of_intervals([144, 180, 216])    # 0.8, 1.0, 1.2 s
         assert mean == pytest.approx(1.0)
         assert median == pytest.approx(1.0)
         assert var == pytest.approx((0.04 + 0.0 + 0.04) / 3.0)  # 0.0266667
+        assert _hrv_of_intervals([90, 270]) == (1.0, 1.0, 0.25)   # 0.5, 1.5 s
 
     def test_singleton(self):
-        assert hrv_stats([1.0]) == (1.0, 1.0, 0.0)
+        assert record_hrv(_record([0, 180])) == (1.0, 1.0, 0.0)
 
     def test_constant_sequence_zero_variance(self):
-        assert hrv_stats([0.7] * 9)[2] == 0.0
+        assert _hrv_of_intervals([126] * 9)[2] == 0.0    # 0.7 s each
 
     def test_even_length_median_averages_middle_two(self):
-        assert hrv_stats([1.0, 2.0, 3.0, 10.0])[1] == pytest.approx(2.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            hrv_stats([])
-
-    def test_record_hrv_is_zero_below_two_peaks(self):
-        assert record_hrv([], 180.0) == record_hrv([42], 180.0) == (0.0, 0.0, 0.0)
-        assert record_hrv([0, 90, 360], 180.0) == hrv_stats([0.5, 1.5])
+        assert _hrv_of_intervals([180, 360, 540, 1800])[1] == pytest.approx(2.5)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
-        rr = rng.uniform(0.5, 1.5, size=21)
-        base = hrv_stats(rr)
+        rr = rng.integers(90, 270, size=21)
+        base = _hrv_of_intervals(rr)
         for _ in range(20):
-            assert hrv_stats(rng.permutation(rr)) == pytest.approx(base)
+            assert _hrv_of_intervals(rng.permutation(rr)) == pytest.approx(base)
 
 
 class TestBeatFeatures:
@@ -132,7 +137,7 @@ class TestBuildFeatureMatrix:
         beats = Beats(samples=np.zeros((3, BEAT_LEN)), rpeak=np.array([100, 200, 300]),
                       label=np.array([0, 2, 1]), rr_prev=np.ones(3), rr_next=np.ones(3),
                       raw_amp=np.full(3, 0.5))
-        rows = beat_features(beats, record_hrv([0, 180, 360, 540], 180.0))
+        rows = beat_features(beats, record_hrv(_record([0, 180, 360, 540])))
         assert rows.shape == (3, N_FEATURES)
         assert beats.label.tolist() == [0, 2, 1]
         # record HRV is repeated on every row

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ecgbeats.errors import ValidationError
-from ecgbeats.preprocess import (BEAT_LEN, bandpass_filter, normalize_beats,
+from ecgbeats.preprocess import (BEAT_LEN, bandpass_filter, bandpass_sos, normalize_beats,
                                  preprocess_record, resample, segment_beats)
 from ecgbeats.record_io import Beats, EcgRecord
 from tests.helpers import analytic_bandpass_db
@@ -86,6 +88,24 @@ class TestBandpass:
     def test_band_outside_nyquist_rejected(self):
         with pytest.raises(ValidationError):
             bandpass_filter(np.zeros(100), fs=60.0, low=0.5, high=35.0)
+
+    @pytest.mark.parametrize("low, high, fs", [
+        (0.0, 35.0, 180.0), (-0.5, 35.0, 180.0),          # low <= 0
+        (35.0, 35.0, 180.0), (40.0, 35.0, 180.0),         # low >= high
+        (np.inf, np.inf, np.inf),
+        (0.5, 90.0, 180.0), (0.5, 100.0, 180.0),          # high >= fs/2
+        (0.5, 1e308, 1e-300),                             # ... overflowing once normalized
+        (0.5, 35.0, 0.0), (0.5, 35.0, -180.0),            # fs <= 0
+        (-0.5, -35.0, -180.0),                            # ... normalizing into (0, 1)
+        (0.5, 35.0, np.nan),
+    ])
+    def test_bad_band_or_rate_rejected_without_warnings(self, low, high, fs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                bandpass_sos(low, high, fs)
+            with pytest.raises(ValidationError):
+                bandpass_filter(np.zeros(100), fs, low, high)
 
     def test_empty_signal_rejected(self):
         with pytest.raises(ValidationError, match="non-empty"):
@@ -193,6 +213,16 @@ class TestRecordPipeline:
         out = preprocess_record(record, 180.0)
         assert out.fs == 180.0
         assert out.rpeaks.tolist() == [72]  # round(100 * 180/250)
+
+    def test_equal_rates_keep_signal_and_rpeaks(self):
+        record = _record(400, [50, 200, 350], fs=FS)
+        out = preprocess_record(record, FS)
+        assert out.fs == FS and out.rpeaks.tolist() == [50, 200, 350]
+        assert np.array_equal(out.signal, bandpass_filter(record.signal, FS))
+
+    def test_equal_rates_filter_a_one_sample_record(self):
+        out = preprocess_record(_record(1, [0], fs=FS), FS)
+        assert out.signal.shape == (1,) and out.rpeaks.tolist() == [0]
 
     def test_emitted_beats_satisfy_invariants(self):
         rng = np.random.default_rng(1)

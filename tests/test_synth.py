@@ -11,7 +11,7 @@ from ecgbeats.synth import SynthConfig, generate
 def run_pipeline(record):
     processed = preprocess_record(record)
     beats, _ = segment_beats(processed)
-    rows = beat_features(normalize_beats(beats), record_hrv(processed.rpeaks, processed.fs))
+    rows = beat_features(normalize_beats(beats), record_hrv(processed))
     return rows, beats.label
 
 
