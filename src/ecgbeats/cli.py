@@ -33,7 +33,7 @@ from . import preprocess as preprocess_mod
 from . import record_io
 from . import synth as synth_mod
 from .encode import MtfConfig, encode_beat, out_of_range
-from .errors import DataError, ValidationError, is_real, real_above, validate
+from .errors import DataError, ValidationError, is_real, validate
 from .model import (GbdtParams, RfParams, fit_gbdt, fit_random_forest,
                     grid_search, load_model, predict_batch, save_model)
 from .model.search import stratified_split
@@ -162,13 +162,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    fs, low, high = args.target_fs, args.low_hz, args.high_hz
-    validate([
-        real_above("fs", args.fs, 0),
-        real_above("target_fs", fs, 0),
-        (is_real(fs) and is_real(low) and is_real(high) and 0 < low < high < fs / 2,
-         f"band low_hz={low!r}, high_hz={high!r} must satisfy 0 < low_hz < high_hz < target_fs/2"),
-    ])
+    validate(preprocess_mod.rate_rule(args.fs, args.target_fs, ("fs", "target_fs"))
+             + preprocess_mod.band_rule(args.low_hz, args.high_hz, args.target_fs,
+                                        ("low_hz", "high_hz", "target_fs")))
     label_set = _label_set(args)
     inputs = _require_inputs(args.signal, args.annotations)
     record = record_io.load_record(args.signal, args.annotations, fs=args.fs,

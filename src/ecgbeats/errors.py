@@ -41,10 +41,13 @@ def is_int(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """A finite real number (integers included), not a bool."""
+    """A real number finite as a float (integers included), not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
-    return isinstance(value, numbers.Integral) or math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:    # an integer with no float, such as 10**400
+        return False
 
 
 # checks for validate(), each stating what must hold, so NaN and inf fail

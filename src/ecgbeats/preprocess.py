@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_real, real_above, validate
 from .record_io import BEAT_LEN, Beats, EcgRecord, LabelSet
 
 HALF_WINDOW = BEAT_LEN // 2   # samples either side of the R-peak
@@ -22,6 +22,32 @@ TARGET_FS = 180.0
 BAND_LOW_HZ = 0.5
 BAND_HIGH_HZ = 35.0
 FILTER_ORDER = 4
+# resample allocates n * to_hz / from_hz samples, so an unbounded upsampling
+# ratio (--fs 1e-3 to 180 Hz) exhausts memory before anything can fail; 16x
+# admits every rate pair in use (250 -> 180, 250 -> 250, 50 <-> 500)
+MAX_UPSAMPLE = 16
+
+
+def rate_rule(from_hz, to_hz, names=("from_hz", "to_hz")) -> list:
+    """The one rate rule, as checks for ``validate``: both rates finite and
+    > 0, and to_hz at most MAX_UPSAMPLE times from_hz."""
+    from_name, to_name = names
+    bounded = not (is_real(from_hz) and is_real(to_hz)) or to_hz <= MAX_UPSAMPLE * from_hz
+    return [real_above(from_name, from_hz, 0), real_above(to_name, to_hz, 0),
+            (bounded, f"{to_name} must be at most {MAX_UPSAMPLE} x {from_name}, "
+                      f"got {to_name}={to_hz!r} from {from_name}={from_hz!r}")]
+
+
+def band_rule(low, high, fs, names=("low", "high", "fs")) -> list:
+    """The one band rule, as checks for ``validate``: low, high and fs finite,
+    fs > 0, and 0 < low < high < fs/2 tested on the band normalized to fs/2
+    as ``bandpass_sos`` designs it, so edges that round there to one value or
+    to 0 fail."""
+    low_name, high_name, fs_name = names
+    ok = all(map(is_real, (low, high, fs))) and fs > 0
+    ok = ok and 0 < float(low) / (float(fs) / 2) < float(high) / (float(fs) / 2) < 1
+    return [(ok, f"band {low_name}={low!r}, {high_name}={high!r} at {fs_name}={fs!r} must "
+                 f"satisfy 0 < {low_name}/({fs_name}/2) < {high_name}/({fs_name}/2) < 1")]
 
 
 def resample(signal, from_hz: float, to_hz: float) -> np.ndarray:
@@ -31,9 +57,8 @@ def resample(signal, from_hz: float, to_hz: float) -> np.ndarray:
     is round(n * to_hz / from_hz). Good enough after (or before) a 35 Hz
     low-pass: there is no content near the new Nyquist to alias.
     """
+    validate(rate_rule(from_hz, to_hz))
     x = np.asarray(signal, dtype=float)
-    if from_hz <= 0 or to_hz <= 0:
-        raise ValidationError("sampling rates must be positive")
     if from_hz == to_hz:
         return x.copy()
     if x.shape[0] < 2:
@@ -51,15 +76,9 @@ def bandpass_sos(low: float, high: float, fs: float) -> np.ndarray:
     pre-warp, ``lp2bp_zpk``, ``bilinear_zpk``, then ``zpk2sos`` with its
     "nearest" pairing), so every rounding, tie and ordering falls the same way.
     """
+    validate(band_rule(low, high, fs))
     n = FILTER_ORDER
-    nyquist = float(fs) / 2
-    if not nyquist > 0:    # NaN too; a negative fs would flip the band's sign
-        raise ValidationError(f"sampling rate must have fs/2 > 0, got fs = {fs}")
-    with np.errstate(over="ignore", invalid="ignore"):    # inf and NaN fail the check
-        wn = np.asarray([low, high], dtype=np.float64) / nyquist
-    if not 0 < wn[0] < wn[1] < 1:
-        raise ValidationError(f"band ({low}, {high}) Hz at fs = {fs} Hz normalizes to "
-                              f"({wn[0]}, {wn[1]}), not an interval inside (0, 1)")
+    wn = np.asarray([low, high], dtype=np.float64) / (float(fs) / 2)
     warped = 4.0 * np.tan(np.pi * wn / 2.0)    # pre-warped for fs = 2
     bw, wo = float(warped[1] - warped[0]), float(np.sqrt(warped[0] * warped[1]))
     # analog low-pass prototype poles, shifted to +-wo at bandwidth bw

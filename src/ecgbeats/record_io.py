@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParseError, ValidationError, is_int
+from .errors import DataError, ParseError, ValidationError, is_int, real_above, validate
 
 FLOAT_FMT = "%.9g"  # 9 significant digits everywhere we write decimals
 ROW_CHUNK = 128     # rows formatted per call by write_numeric_csv
@@ -79,8 +79,7 @@ class EcgRecord:
         self.rpeaks = np.asarray(self.rpeaks, dtype=int)
         if self.signal.ndim != 1:
             raise ValidationError(f"expected a 1-D signal, got shape {self.signal.shape}")
-        if self.fs <= 0:
-            raise ValidationError(f"sampling rate must be positive, got {self.fs}")
+        validate([real_above("fs", self.fs, 0)])
         if len(self.labels) != len(self.rpeaks):
             raise ValidationError(
                 f"{len(self.labels)} labels for {len(self.rpeaks)} R-peaks"
@@ -434,11 +433,16 @@ def read_pgm(path) -> np.ndarray:
         magic = fh.readline().strip()
         if magic != b"P5":
             raise DataError(f"{path}: not a binary PGM")
-        w, h = (int(v) for v in fh.readline().split())
-        maxval = int(fh.readline())
+        try:    # int() and the unpacking raise ValueError alike
+            w, h = (int(v) for v in fh.readline().split())
+            maxval = int(fh.readline())
+        except ValueError:
+            raise DataError(f"{path}: malformed PGM header") from None
+        if min(w, h) < 0:
+            raise DataError(f"{path}: negative PGM size {w} x {h}")
         if maxval != 255:
             raise DataError(f"{path}: expected maxval 255, got {maxval}")
-        data = fh.read(w * h)
+        data = fh.read()    # bounded by the file, not by the header's size
     if len(data) != w * h:
-        raise DataError(f"{path}: truncated pixel data")
+        raise DataError(f"{path}: {len(data)} pixel bytes for a {w} x {h} PGM")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w).copy()

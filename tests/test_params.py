@@ -70,8 +70,10 @@ CONFIG_FIELDS = [
     ("balance", "targets", "target", [NAN, INF, 5, True, None, "x", "N=1.5", "N=0"]),
     ("encode", "mtf_bins", "n_bins", bad_int(2) + [33]),
     ("gridsearch-rf", "seed", "seed", bad_int(0)),
-    ("preprocess", "fs", "fs", bad_real(0, strict=True)),
-    ("preprocess", "target_fs", "target_fs", bad_real(0, strict=True)),
+    # past the upsampling bound: with no inputs on disk a regressed check stops
+    # at the missing files (exit 2) before resample could allocate
+    ("preprocess", "fs", "fs", bad_real(0, strict=True) + [1e-300]),
+    ("preprocess", "target_fs", "target_fs", bad_real(0, strict=True) + [1e300]),
     ("preprocess", "low_hz", "low_hz", bad_real(0, strict=True) + [40.0]),
     ("preprocess", "high_hz", "high_hz", bad_real(0, strict=True) + [90.0]),
 ]
@@ -139,6 +141,19 @@ def test_grid_value_refused(inputs, capsys, model, key, field, value):
                "--grid", inputs / "grid.json", "--out-dir", inputs / "gs")
     assert_refused(code, capsys, field)
     assert not (inputs / "gs").exists()
+
+
+@pytest.mark.parametrize("stage, key", [
+    ("synth", "fs"), ("synth", "noise_std"), ("train", "learning_rate"),
+    ("train", "l2_lambda"), ("preprocess", "fs"), ("preprocess", "target_fs"),
+    ("preprocess", "low_hz"),
+])
+def test_integer_with_no_float_refused(inputs, capsys, stage, key):
+    # 10**400 is an integer no float can hold: it used to pass as finite and
+    # then overflow (a traceback for target_fs) in the first float arithmetic
+    argv = stage_argv(stage, inputs)
+    (inputs / "config.json").write_text(json.dumps({argv[0]: {key: 10**400}}))
+    assert_refused(run("--config", inputs / "config.json", *argv), capsys, key)
 
 
 def test_grid_nan_learning_rate_is_exit_1_in_a_subprocess(inputs):

@@ -58,6 +58,20 @@ class TestResample:
         with pytest.raises(ValidationError):
             resample(np.zeros(1), 250.0, 180.0)
 
+    # 2-sample signals: a regressed check allocates at most 200 samples
+    @pytest.mark.parametrize("to_hz", [np.nan, np.inf, 1e300, 100 * 250.0])
+    def test_bad_or_unbounded_rate_refused(self, to_hz):
+        with pytest.raises(ValidationError, match="to_hz"):
+            resample(np.zeros(2), 250.0, to_hz)
+        record = EcgRecord(signal=np.zeros(2), fs=250.0, rpeaks=[0], labels=["N"])
+        with pytest.raises(ValidationError, match="to_hz"):
+            preprocess_record(record, to_hz=to_hz)
+
+    def test_upsampling_bound_is_16x(self):
+        assert resample(np.zeros(2), 250.0, 16 * 250.0).shape[0] == 32
+        with pytest.raises(ValidationError, match="at most 16 x from_hz"):
+            resample(np.zeros(2), 250.0, np.nextafter(16 * 250.0, np.inf))
+
     @given(st.integers(10, 500), st.floats(50, 500), st.floats(50, 500))
     def test_duration_preserved(self, n, from_hz, to_hz):
         out = resample(np.zeros(n), from_hz, to_hz)
@@ -98,6 +112,11 @@ class TestBandpass:
         (0.5, 35.0, 0.0), (0.5, 35.0, -180.0),            # fs <= 0
         (-0.5, -35.0, -180.0),                            # ... normalizing into (0, 1)
         (0.5, 35.0, np.nan),
+        pytest.param("0.5", 35.0, 180.0, id="str-low"),    # not numbers, which the
+        pytest.param(0.5, "35", 180.0, id="str-high"),     # CLI refuses too
+        pytest.param(0.5, 35.0, "180", id="str-fs"),
+        pytest.param(True, 35.0, 180.0, id="bool-low"),
+        pytest.param(0.5, True, 180.0, id="bool-high"),
     ])
     def test_bad_band_or_rate_rejected_without_warnings(self, low, high, fs):
         with warnings.catch_warnings():

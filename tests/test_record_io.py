@@ -203,6 +203,19 @@ class TestImageExport:
         with pytest.raises(ValueError):
             export_image(np.zeros((3, 16, 32)), tmp_path / "img")
 
+    @pytest.mark.parametrize("header", [
+        b"P5\nx y\n255\n",      # a size that is no number
+        b"P5\n32\n255\n",       # one number where two belong
+        b"P5\n-2 -3\n255\n",    # a negative size
+        b"P5\n2 3\n",           # no maxval line
+        b"P5\n4294967296 4294967296\n255\n",    # a size no buffer can hold
+    ])
+    def test_malformed_pgm_header_refused(self, tmp_path, header):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header + bytes(6))
+        with pytest.raises(DataError, match="PGM"):
+            read_pgm(path)
+
     def test_truncated_f32_rejected(self, tmp_path):
         path = tmp_path / "img.f32"
         path.write_bytes(b"\x00" * 100)
@@ -211,6 +224,12 @@ class TestImageExport:
 
 
 class TestEcgRecordInvariants:
+    @pytest.mark.parametrize("fs", [np.nan, np.inf, 0.0, True])
+    def test_fs_must_be_finite_and_positive(self, fs):
+        # fs = nan used to give record_hrv (nan, nan, nan), and fs = inf zeros
+        with pytest.raises(ValidationError, match="fs must be a finite number > 0"):
+            EcgRecord(signal=np.zeros(5), fs=fs, rpeaks=np.array([1]), labels=["N"])
+
     def test_too_many_leads(self):
         with pytest.raises(ValidationError, match="expected a 1-D signal"):
             EcgRecord(signal=np.zeros((5, 2)), fs=250.0,
