@@ -10,6 +10,7 @@ and ``sosfiltfilt``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -64,8 +65,10 @@ def resample(signal, from_hz: float, to_hz: float) -> np.ndarray:
     if x.shape[0] < 2:
         raise ValidationError(f"need at least 2 samples to resample, got {x.shape[0]}")
     n_out = int(round(x.shape[0] * to_hz / from_hz))
-    positions = np.arange(n_out) * (from_hz / to_hz)
-    return np.interp(positions, np.arange(x.shape[0]), x)
+    # float aranges: interp would convert int64 ones to a second float64 copy
+    positions = np.arange(n_out, dtype=float)
+    positions *= from_hz / to_hz
+    return np.interp(positions, np.arange(x.shape[0], dtype=float), x)
 
 
 def bandpass_sos(low: float, high: float, fs: float) -> np.ndarray:
@@ -151,14 +154,16 @@ def _steady_state(sos) -> np.ndarray:
     return zi
 
 
-def _sosfilt(sos, x: list, zi) -> list:
-    """Run the 4 sections in direct form II transposed over the floats x,
-    starting from state zi. The same IEEE operations in the same order as
-    scipy's compiled ``sosfilt``, so the output is identical to it."""
+def _sosfilt(sos, x, zi) -> array:
+    """Run the 4 sections in direct form II transposed over the iterable of
+    floats x, starting from state zi, into a flat ``array('d')``: 8 bytes a
+    sample, where a list of floats holds 32. The same IEEE operations in the
+    same order as scipy's compiled ``sosfilt``, so the output is identical to
+    it."""
     (b00, b01, b02, _, a01, a02), (b10, b11, b12, _, a11, a12), \
         (b20, b21, b22, _, a21, a22), (b30, b31, b32, _, a31, a32) = sos.tolist()
     (z00, z01), (z10, z11), (z20, z21), (z30, z31) = zi.tolist()
-    out = []
+    out = array("d")
     append = out.append
     for x0 in x:
         x1 = b00 * x0 + z00
@@ -188,7 +193,10 @@ def bandpass_filter(signal, fs: float, low: float = BAND_LOW_HZ,
     the output is bit-equal to ``scipy.signal.sosfiltfilt(bandpass_sos(...),
     x, padtype="even", padlen=min(round(fs), len(x) - 1))``. The two passes
     are a Python loop over the samples, so their cost grows with the record
-    (the README gives it).
+    (the README gives it). They stream through flat float64 buffers: the
+    backward pass reads the forward output through a reversed view, not a
+    reversed copy, and each buffer is dropped once read, so besides x no more
+    than two signal-length buffers are alive at once.
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.shape[0] == 0:
@@ -202,9 +210,11 @@ def bandpass_filter(signal, fs: float, low: float = BAND_LOW_HZ,
             "the filter has a pole at z = 1") from None
     edge = min(int(round(fs)), x.shape[0] - 1)
     ext = np.concatenate((x[edge:0:-1], x, x[-2:-edge - 2:-1]))
-    forward = _sosfilt(sos, ext.tolist(), zi * ext[0])
-    backward = _sosfilt(sos, forward[::-1], zi * forward[-1])
-    return np.array(backward[::-1][edge:edge + x.shape[0]])
+    forward = _sosfilt(sos, memoryview(ext), zi * ext[0])
+    del ext
+    backward = _sosfilt(sos, memoryview(forward)[::-1], zi * forward[-1])
+    del forward
+    return np.frombuffer(backward)[::-1][edge:edge + x.shape[0]].copy()
 
 
 def preprocess_record(record: EcgRecord, to_hz: float = TARGET_FS,
@@ -215,7 +225,9 @@ def preprocess_record(record: EcgRecord, to_hz: float = TARGET_FS,
     rpeaks = np.minimum(np.rint(record.rpeaks * (to_hz / record.fs)).astype(int),
                         signal.shape[0] - 1)
     if np.any(np.diff(rpeaks) <= 0):
-        raise ValidationError("R-peaks collided while resampling")
+        raise ValidationError(
+            f"R-peaks collided while resampling from {record.fs!r} Hz to {to_hz!r} Hz: "
+            "at that ratio adjacent R-peaks merge onto one sample")
     return EcgRecord(signal=bandpass_filter(signal, to_hz, low, high), fs=to_hz,
                      rpeaks=rpeaks, labels=list(record.labels))
 

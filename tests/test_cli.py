@@ -623,6 +623,19 @@ class TestErrors:
         assert "R-peak indices must be strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "pre").exists()
 
+    @pytest.mark.parametrize("fs, shown", [("1e300", "1e+300"), ("1e6", "1000000.0")])
+    def test_rpeaks_merging_when_downsampling_names_both_rates(self, tmp_path, capsys,
+                                                                 fs, shown):
+        d = tmp_path / "raw"
+        assert run("synth", "--out-dir", d, "--n-beats", 20, "--noise-std", 0.05,
+                   "--seed", 3) == 0
+        assert run("preprocess", "--signal", d / "signal.csv",
+                   "--annotations", d / "annotations.csv", "--fs", fs,
+                   "--out-dir", tmp_path / "pre") == 1
+        assert (f"R-peaks collided while resampling from {shown} Hz to 180.0 Hz: at that "
+                "ratio adjacent R-peaks merge onto one sample") in capsys.readouterr().err
+        assert not (tmp_path / "pre").exists()
+
     def test_evaluate_of_a_file_with_no_rows_names_it(self, tmp_path, capsys,
                                                       pipeline_dir):
         model = tmp_path / "m.txt"

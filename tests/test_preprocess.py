@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -139,6 +140,55 @@ class TestBandpass:
         lhs = bandpass_filter(2.0 * a + 3.0 * b, FS)
         rhs = 2.0 * bandpass_filter(a, FS) + 3.0 * bandpass_filter(b, FS)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+    @pytest.mark.parametrize("make, reference", [
+        pytest.param(lambda x: x.tolist(), lambda x: x, id="list"),
+        pytest.param(lambda x: x.astype(np.float32),
+                     lambda x: x.astype(np.float32).astype(np.float64), id="float32"),
+        pytest.param(lambda x: x[::2], lambda x: x[::2].copy(), id="strided"),
+        pytest.param(lambda x: x[:1], lambda x: x[:1].copy(), id="1-sample"),   # edge 0
+        pytest.param(lambda x: x[:2], lambda x: x[:2].copy(), id="2-sample"),   # edge 1
+        pytest.param(lambda x: x[::2][:2], lambda x: x[:4:2].copy(), id="2-sample-strided"),
+    ])
+    def test_any_input_gives_a_fresh_float64_array(self, make, reference):
+        x = np.random.default_rng(8).normal(size=1001).cumsum()
+        signal, expected = make(x), reference(x)
+        assert expected.flags.c_contiguous and expected.dtype == np.float64
+        out = bandpass_filter(signal, FS)
+        assert np.array_equal(out, bandpass_filter(expected, FS))
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.flags.writeable and out.flags.owndata
+        assert not np.shares_memory(out, x)
+
+
+def _peak_traced_bytes(fn, *args):
+    """Peak bytes allocated while fn runs, numpy's buffers included; args
+    allocated before the call are not counted, the result is."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    N = 200_000
+
+    def test_bandpass_peaks_under_32_bytes_a_sample(self):
+        # the padded signal and the two passes' float64 buffers: ~17 B; a
+        # list of Python floats per pass was 88 B
+        x = np.random.default_rng(9).normal(size=self.N).cumsum()
+        assert _peak_traced_bytes(bandpass_filter, x, FS) / self.N <= 32
+
+    def test_preprocess_record_peaks_under_32_bytes_an_input_sample(self):
+        rng = np.random.default_rng(10)
+        rpeaks = np.arange(100, self.N - 100, 200)
+        record = EcgRecord(signal=rng.normal(size=self.N).cumsum(), fs=250.0,
+                           rpeaks=rpeaks, labels=["N"] * rpeaks.shape[0])
+        assert _peak_traced_bytes(preprocess_record, record, FS) / self.N <= 32
 
 
 def _record(n, rpeaks, labels=None, fs=FS):
