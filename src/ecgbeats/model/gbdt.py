@@ -13,10 +13,9 @@ rate. Trees grow depth-wise; no histogram binning, no feature subsampling.
 
 The scan is presorted, as in the exact greedy algorithm of XGBoost (Chen &
 Guestrin, KDD 2016): a fit runs one stable argsort of every feature column,
-and every node carries, per feature, its rows in ascending value order (ties
-to the lower row id). A split filters that order through its row mask into
-the two children's orders, so no node sorts again. Prefix sums and gains are
-evaluated only at the positions that leave min_data_in_leaf rows on each
+and ``tree.grow`` hands each node its rows in ascending value order (ties to
+the lower row id) with their values, so no node sorts. Prefix sums and gains
+are evaluated only at the positions that leave min_data_in_leaf rows on each
 side, a block of features at a time in buffers formed in place, so the
 scan's memory is bounded whatever the node's size. Node totals are summed
 over the node's rows in ascending row order, so the trees equal those of a
@@ -27,16 +26,16 @@ A round's K trees are built at the same time in min(K, usable CPUs) worker
 processes, forked once per fit after the presort. Threads do not scale here:
 np.cumsum, ~20 % of a fit, holds the GIL, and two threads get 0.88x the
 cumsum throughput of one (numpy 2.4, 2 cores; take and sin scale 2x). The
-workers inherit the features, the presort and the one-hot labels
-copy-on-write; the round-start probabilities and the scores live in anonymous
-shared memory, so each worker adds its tree's leaf values to its own score
-column and sends back only the tree. The trees stay byte-reproducible for
-any worker count: each class tree reads only the round-start probabilities,
-the presort and its own g and h, writes only its own score column, runs the
-same operations in the same order as in one process, and is appended in
-class order. With one usable CPU, or where fork is unavailable, the round
-runs in-process. The pool forks its workers before it starts its own thread,
-and they run only the tree builder and the pool's queues.
+workers inherit the features, the labels and the presort copy-on-write; the
+round-start probabilities and the scores live in anonymous shared memory, so
+each worker adds its tree's leaf values to its own score column and sends
+back only the tree. The trees stay byte-reproducible for any worker count:
+each class tree reads only the round-start probabilities, the presort and
+its own g and h, writes only its own score column, runs the same operations
+in the same order as in one process, and is appended in class order. With
+one usable CPU, or where fork is unavailable, the round runs in-process. The
+pool forks its workers before it starts its own thread, and they run only
+the tree builder and the pool's queues.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 
 from ..errors import int_at_least, real_above, real_at_least, validate
 from .ensemble import EnsembleModel, check_training_data, softmax
-from .tree import LEAF, Tree
+from .tree import Tree, grow
 
 
 @dataclass
@@ -147,56 +146,29 @@ def _leaf_value(g_sum, h_sum, params: GbdtParams) -> float:
     return float(-np.sign(g_sum) * mag / den * params.learning_rate)
 
 
-def _keep(order, xs, mask):
-    """(order, xs) restricted to the entries where mask holds, per feature."""
-    # flatnonzero + take is ~4x faster than boolean indexing on a random mask
-    keep = np.flatnonzero(mask)
-    shape = (order.shape[0], -1)
-    return order.take(keep).reshape(shape), xs.take(keep).reshape(shape)
-
-
 def _build_tree(x, order, xs, g, h, params: GbdtParams, score) -> Tree:
-    """Grow one tree and add each leaf's value to ``score`` at its rows.
-
-    order (F, n) is the fit's stable argsort of every feature and xs the sorted
-    values; feature-major, so each feature's entries stay contiguous when a
-    split filters them. A node is (id, ascending row ids, order, xs, depth); a
-    split hands each child the entries of its parent's order and xs whose rows
-    it gets.
-    """
-    nodes = [None]                 # filled when each node is popped
-    goes_left = np.zeros(x.shape[0], dtype=bool)
-    stack = [(0, np.arange(x.shape[0]), order, xs, 0)]
-    while stack:
-        node, idx, order, xs, depth = stack.pop()
+    """Grow one tree on the fit's presort (order, xs) and add each leaf's value
+    to ``score`` at its rows."""
+    def decide(idx, sorted_, depth):
         # summed in ascending row order: a sorted-order sum moves the last bits
         g_total, h_total = g[idx].sum(), h[idx].sum()
-        split = None
         if depth < params.max_depth:
-            split = _best_split(order, xs, g, h, g_total, h_total,
+            split = _best_split(*sorted_, g, h, g_total, h_total,
                                 params.l2_lambda, params.min_data_in_leaf)
-        if split is None:
-            value = _leaf_value(g_total, h_total, params)
-            nodes[node] = (LEAF, 0.0, LEAF, LEAF, value)
-            score[idx] += value
-            continue
-        feature, threshold = split
-        go_left = x[idx, feature] <= threshold
-        goes_left[idx] = go_left
-        in_left = goes_left[order]
-        left = len(nodes)
-        nodes += [None, None]
-        nodes[node] = (feature, threshold, left, left + 1, 0.0)
-        stack.append((left + 1, idx[~go_left], *_keep(order, xs, ~in_left), depth + 1))
-        stack.append((left, idx[go_left], *_keep(order, xs, in_left), depth + 1))
-    return Tree.from_nodes(nodes)
+            if split is not None:
+                return split, 0.0
+        value = _leaf_value(g_total, h_total, params)
+        score[idx] += value
+        return None, value
+
+    return grow(x, np.arange(x.shape[0]), (order, xs), decide)
 
 
 def _grow(fit, cls: int) -> Tree:
     """Class cls's tree of the round, fit to the derivatives at the round-start
     probabilities; it adds its leaf values to scores[:, cls] and writes nothing else."""
-    x, order, xs, onehot, probs, scores, params = fit
-    g = probs[:, cls] - onehot[:, cls]
+    x, y, order, xs, probs, scores, params = fit
+    g = probs[:, cls] - (y == cls)
     h = probs[:, cls] * (1.0 - probs[:, cls])
     return _build_tree(x, order, xs, g, h, params, scores[:, cls])
 
@@ -251,12 +223,10 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
     # the one sort of the fit; ties keep the lower row id first
     order = np.argsort(x.T, axis=1, kind="stable")
     xs = np.take_along_axis(x.T, order, axis=1)
-    onehot = np.zeros((x.shape[0], k))
-    onehot[np.arange(x.shape[0]), y] = 1.0
     scores = _shared_zeros((x.shape[0], k))
     probs = _shared_zeros((x.shape[0], k))
     probs[:] = softmax(scores)
-    fit = (x, order, xs, onehot, probs, scores, params)
+    fit = (x, y, order, xs, probs, scores, params)
 
     workers = min(k, _usable_cpus())
     in_process = workers == 1 or "fork" not in multiprocessing.get_all_start_methods()

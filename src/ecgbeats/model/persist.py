@@ -39,6 +39,7 @@ import math
 import numpy as np
 
 from ..errors import DataError, ParseError
+from ..record_io import parse_number
 from .ensemble import EnsembleModel
 from .tree import LEAF, Tree
 
@@ -106,20 +107,18 @@ class _LineReader:
         return parts[1:]
 
     def integer(self, token: str, low: int = 0, high: int | None = None) -> int:
-        """An integer in [low, high)."""
-        try:
-            value = int(token)
-        except ValueError:
+        """An integer in [low, high), written in plain ASCII digits."""
+        value = parse_number(token, int)
+        if value is None:
             self.fail(f"expected an integer, found {token!r}")
         if value < low or (high is not None and value >= high):
             self.fail(f"{value} outside [{low}, {'inf' if high is None else high})")
         return value
 
     def number(self, token: str) -> float:
-        """A finite float."""
-        try:
-            value = float(token)
-        except ValueError:
+        """A finite float, written in plain ASCII."""
+        value = parse_number(token)
+        if value is None:
             self.fail(f"expected a number, found {token!r}")
         if not math.isfinite(value):
             self.fail(f"{token} is not a finite number")

@@ -1,15 +1,12 @@
-"""Flat-array binary decision trees shared by the boosted and bagged models.
+"""Flat-array binary decision trees, and the one grower of both ensembles.
 
 Nodes live in parallel arrays; feature == -1 marks a leaf. Routing is fixed
 everywhere: a row goes left iff row[feature] <= threshold. Every node has one
 payload in ``value``: a regression tree (GBDT) holds a (n_nodes,) float64
 leaf score, a classification tree (random forest) a (n_nodes, K) int64
 training-count histogram. Split nodes hold a zero payload. A tree predicts
-``tree.value[tree.apply(x)]``.
-
-Growers append one ``(feature, threshold, left, right, value)`` tuple per
-node to a plain list, children after their parent, and freeze the list with
-``Tree.from_nodes``.
+``tree.value[tree.apply(x)]``. ``grow`` owns the node list, the routing and
+the presort each node carries; an ensemble supplies its split rule and payload.
 """
 
 from __future__ import annotations
@@ -55,3 +52,36 @@ class Tree:
             rows = node[active]
             go_left = x[active, feat[active]] <= self.threshold[rows]
             node[active] = np.where(go_left, self.left[rows], self.right[rows])
+
+
+def _keep(sorted_, mask):
+    """Each (F, n) array of sorted_ at the entries where mask holds, as (F, m)."""
+    # flatnonzero + take is ~4x faster than boolean indexing on a random mask
+    keep = np.flatnonzero(mask)
+    return tuple(a.take(keep).reshape(a.shape[0], -1) for a in sorted_)
+
+
+def grow(x, rows, sorted_, decide) -> Tree:
+    """Grow one tree depth-first over ``rows``, ascending row ids of x. sorted_
+    holds (F, len(rows)) arrays in each feature's value order, row ids first; a
+    split filters them into its children. ``decide(idx, sorted_, depth)``
+    returns a node's (split, payload), split None for a leaf."""
+    nodes = [None]                 # filled when each node is popped
+    goes_left = np.zeros(x.shape[0], dtype=bool)
+    stack = [(0, rows, sorted_, 0)]
+    while stack:
+        node, idx, sorted_, depth = stack.pop()
+        split, payload = decide(idx, sorted_, depth)
+        if split is None:
+            nodes[node] = (LEAF, 0.0, LEAF, LEAF, payload)
+            continue
+        feature, threshold = split
+        go_left = x[idx, feature] <= threshold
+        goes_left[idx] = go_left
+        in_left = goes_left[sorted_[0]]
+        left = len(nodes)
+        nodes += [None, None]
+        nodes[node] = (feature, threshold, left, left + 1, payload)
+        stack.append((left + 1, idx[~go_left], _keep(sorted_, ~in_left), depth + 1))
+        stack.append((left, idx[go_left], _keep(sorted_, in_left), depth + 1))
+    return Tree.from_nodes(nodes)

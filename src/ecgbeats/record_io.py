@@ -433,11 +433,11 @@ def read_pgm(path) -> np.ndarray:
         magic = fh.readline().strip()
         if magic != b"P5":
             raise DataError(f"{path}: not a binary PGM")
-        try:    # int() and the unpacking raise ValueError alike
-            w, h = (int(v) for v in fh.readline().split())
-            maxval = int(fh.readline())
-        except ValueError:
-            raise DataError(f"{path}: malformed PGM header") from None
+        header = fh.readline().split() + [fh.readline().strip()]
+        header = [parse_number(v.decode("latin-1"), int) for v in header]
+        if len(header) != 3 or None in header:
+            raise DataError(f"{path}: malformed PGM header")
+        w, h, maxval = header
         if min(w, h) < 0:
             raise DataError(f"{path}: negative PGM size {w} x {h}")
         if maxval != 255:

@@ -325,6 +325,24 @@ class TestErrors:
         assert f"rf.txt:{at + 1}: " in capsys.readouterr().err
         assert not (tmp_path / "eval" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("key, numeral", [("n_classes", "\u0663"), ("n_features", "7_6")])
+    def test_evaluate_rejects_model_numerals_int_reads(self, tmp_path, capsys, pipeline_dir,
+                                                        key, numeral):
+        # int() reads 3 and 76, the values the file holds; the model reader does not
+        model = tmp_path / "m.txt"
+        assert run("train", "--features", pipeline_dir / "features_train.csv",
+                   "--out", model, "--n-estimators", 1, "--max-depth", 2) == 0
+        lines = model.read_text().splitlines()
+        at = lines.index(f"{key} {int(numeral)}")
+        lines[at] = f"{key} {numeral}"
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run("evaluate", "--model-file", model,
+                   "--features", pipeline_dir / "features_test.csv",
+                   "--out-dir", tmp_path / "eval")
+        assert code == 2
+        assert f"m.txt:{at + 1}: expected an integer, found {numeral!r}" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
     def test_evaluate_rejects_gbdt_whose_scores_overflow(self, tmp_path, capsys,
                                                          pipeline_dir):
         model = tmp_path / "m.txt"

@@ -364,6 +364,23 @@ class TestModelFileValidation:
         with pytest.raises(DataError):
             _load_edited(tmp_path, lines)
 
+    @pytest.mark.parametrize("rf, line, text, kind", [
+        # int() and float() read digit separators and non-ASCII digits, each
+        # below with the value the unedited file holds; the model reader does not
+        (False, 2, "n_classes ٣", "integer"),
+        (False, 3, "n_features 0_2", "integer"),
+        (False, 7, "n 0 split ٠ 0.7029330881762753 1 2", "integer"),
+        (False, 9, "n 2 leaf -0.684_9358420822772", "number"),
+        (True, 8, "n 2 leaf 0 0 5_7", "integer"),
+    ])
+    def test_numerals_int_reads_are_refused(self, tmp_path, rf, line, text, kind):
+        lines = _saved_rf_lines(tmp_path) if rf else _saved_gbdt_lines(tmp_path)
+        edits = [(a, b) for a, b in zip(lines[line].split(), text.split()) if a != b]
+        assert len(edits) == 1 and float(edits[0][0]) == float(edits[0][1])
+        lines[line] = text
+        with pytest.raises(ParseError, match=rf"edited\.txt:{line + 1}: expected an? {kind}"):
+            _load_edited(tmp_path, lines)
+
     def test_duplicate_node_id(self, tmp_path):
         lines = _saved_gbdt_lines(tmp_path)
         at = next(i for i, ln in enumerate(lines) if ln.startswith("n 1 "))

@@ -216,6 +216,19 @@ class TestImageExport:
         with pytest.raises(DataError, match="PGM"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("header", [
+        # int() reads digit separators; the header reader does not, though the
+        # pixel count matches the size int() would read
+        b"P5\n2 1_0\n255\n",
+        b"P5\n2 10\n2_55\n",
+        "P5\n2 ١٠\n255\n".encode(),    # non-ASCII digits, as UTF-8
+    ])
+    def test_pgm_header_numerals_int_reads_are_refused(self, tmp_path, header):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header + bytes(20))
+        with pytest.raises(DataError, match="malformed PGM header"):
+            read_pgm(path)
+
     def test_truncated_f32_rejected(self, tmp_path):
         path = tmp_path / "img.f32"
         path.write_bytes(b"\x00" * 100)
