@@ -11,7 +11,8 @@ flags when the config loads. Flag defaults are the field defaults of the
 params objects the stages build, and those objects check the parameters
 before any input is read.
 
-Exit codes: 0 ok, 1 invalid configuration, 2 missing or malformed data.
+Exit codes: 0 ok, 1 invalid configuration, 2 missing or malformed data, or
+an allocation the machine refuses (MemoryError).
 """
 
 from __future__ import annotations
@@ -500,8 +501,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DataError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

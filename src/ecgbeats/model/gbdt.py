@@ -26,22 +26,21 @@ A round's K trees are built at the same time in min(K, usable CPUs) worker
 processes, forked once per fit after the presort. Threads do not scale here:
 np.cumsum, ~20 % of a fit, holds the GIL, and two threads get 0.88x the
 cumsum throughput of one (numpy 2.4, 2 cores; take and sin scale 2x). The
-workers inherit the features, the labels and the presort copy-on-write; the
-round-start probabilities and the scores live in anonymous shared memory, so
-each worker adds its tree's leaf values to its own score column and sends
-back only the tree. The trees stay byte-reproducible for any worker count:
-each class tree reads only the round-start probabilities, the presort and
-its own g and h, writes only its own score column, runs the same operations
-in the same order as in one process, and is appended in class order. With
-one usable CPU, or where fork is unavailable, the round runs in-process. The
-pool forks its workers before it starts its own thread, and they run only
-the tree builder and the pool's queues.
+workers inherit the features, the labels and the presort copy-on-write and
+share no memory with the fitting process. Each round, a class's round-start
+probability column goes in, and its tree comes out with ``step``, the value
+of each row's leaf. A class tree is a pure function of those, and only the
+fitting process holds the scores: it adds each class's step to its score
+column in class order, as LightGBM and XGBoost boosters add a finished tree's
+output, so the bytes are the same for any worker count. With one usable CPU,
+or where fork is unavailable, the round runs in-process. The pool forks its
+workers before it starts its own thread, and they run only the tree builder
+and the pool's queues.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 from dataclasses import dataclass
 
@@ -146,9 +145,11 @@ def _leaf_value(g_sum, h_sum, params: GbdtParams) -> float:
     return float(-np.sign(g_sum) * mag / den * params.learning_rate)
 
 
-def _build_tree(x, order, xs, g, h, params: GbdtParams, score) -> Tree:
-    """Grow one tree on the fit's presort (order, xs) and add each leaf's value
-    to ``score`` at its rows."""
+def _build_tree(x, order, xs, g, h, params: GbdtParams) -> tuple:
+    """(tree, step) of one tree grown on the fit's presort (order, xs); step[r]
+    is the value of row r's leaf."""
+    step = np.empty(x.shape[0])
+
     def decide(idx, sorted_, depth):
         # summed in ascending row order: a sorted-order sum moves the last bits
         g_total, h_total = g[idx].sum(), h[idx].sum()
@@ -158,19 +159,17 @@ def _build_tree(x, order, xs, g, h, params: GbdtParams, score) -> Tree:
             if split is not None:
                 return split, 0.0
         value = _leaf_value(g_total, h_total, params)
-        score[idx] += value
+        step[idx] = value
         return None, value
 
-    return grow(x, np.arange(x.shape[0]), (order, xs), decide)
+    return grow(x, np.arange(x.shape[0]), (order, xs), decide), step
 
 
-def _grow(fit, cls: int) -> Tree:
-    """Class cls's tree of the round, fit to the derivatives at the round-start
-    probabilities; it adds its leaf values to scores[:, cls] and writes nothing else."""
-    x, y, order, xs, probs, scores, params = fit
-    g = probs[:, cls] - (y == cls)
-    h = probs[:, cls] * (1.0 - probs[:, cls])
-    return _build_tree(x, order, xs, g, h, params, scores[:, cls])
+def _grow(fit, cls: int, p) -> tuple:
+    """Class cls's (tree, step) of the round, fit to the derivatives at p, its
+    round-start probability column."""
+    x, y, order, xs, params = fit
+    return _build_tree(x, order, xs, p - (y == cls), p * (1.0 - p), params)
 
 
 # the fit a pool worker serves: set by _serve in each forked worker, never in
@@ -183,26 +182,19 @@ def _serve(fit) -> None:
     _served = fit
 
 
-def _grow_served(cls: int) -> Tree:
-    return _grow(_served, cls)
+def _grow_served(cls: int, p) -> tuple:
+    return _grow(_served, cls, p)
 
 
-def _pooled_round(pool, k: int, r: int) -> list:
-    """Round r's K trees from the pool's workers, in class order."""
+def _pooled_round(pool, probs, r: int) -> list:
+    """Round r's K (tree, step) pairs from the pool's workers, in class order."""
     from concurrent.futures import BrokenExecutor
 
     try:
-        return list(pool.map(_grow_served, range(k)))
+        return list(pool.map(_grow_served, range(probs.shape[1]), probs.T))
     except BrokenExecutor:
         raise OSError(f"GBDT worker process died in round {r + 1} "
                       "(killed, or out of memory)") from None
-
-
-def _shared_zeros(shape) -> np.ndarray:
-    """float64 zeros in anonymous shared memory, which forked workers write to."""
-    import mmap     # here, not at module level, where every CLI stage would load it
-
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
 def _usable_cpus() -> int:
@@ -223,10 +215,9 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
     # the one sort of the fit; ties keep the lower row id first
     order = np.argsort(x.T, axis=1, kind="stable")
     xs = np.take_along_axis(x.T, order, axis=1)
-    scores = _shared_zeros((x.shape[0], k))
-    probs = _shared_zeros((x.shape[0], k))
-    probs[:] = softmax(scores)
-    fit = (x, y, order, xs, probs, scores, params)
+    scores = np.zeros((x.shape[0], k))
+    probs = softmax(scores)
+    fit = (x, y, order, xs, params)
 
     workers = min(k, _usable_cpus())
     in_process = workers == 1 or "fork" not in multiprocessing.get_all_start_methods()
@@ -238,11 +229,14 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
     with pool:
         for r in range(params.n_estimators):
             if in_process:
-                trees += [_grow(fit, cls) for cls in range(k)]
+                grown = [_grow(fit, cls, p) for cls, p in enumerate(probs.T)]
             else:
-                trees += _pooled_round(pool, k, r)
+                grown = _pooled_round(pool, probs, r)
+            for cls, (tree, step) in enumerate(grown):
+                trees.append(tree)
+                scores[:, cls] += step
             # this round's logloss and the next round's derivatives
-            probs[:] = softmax(scores)
+            probs = softmax(scores)
             logloss.append(float(-np.mean(np.log(probs[np.arange(x.shape[0]), y]))))
 
     return EnsembleModel(kind="gbdt", n_classes=k, n_features=x.shape[1],

@@ -21,7 +21,8 @@ bit-identically. GBDT trees are stored in their round-major, class-minor
 training order; ``n_rounds`` is the model's tree count over K, and loading
 checks n_trees == n_rounds * K.
 
-Loading checks every record: each split node i needs i < left, right < M and
+Loading checks every record: 1 <= K <= record_io.MAX_CLASSES (64), the
+bound on label symbols; each split node i needs i < left, right < M and
 0 <= feature < F (so routing always ends at a leaf), and numbers must parse,
 thresholds and leaf values as finite floats. A forest has at least one tree
 and each of its leaves' counts sums to 1 .. 2**63 - 1, so its probabilities
@@ -39,7 +40,7 @@ import math
 import numpy as np
 
 from ..errors import DataError, ParseError
-from ..record_io import parse_number
+from ..record_io import MAX_CLASSES, parse_number
 from .ensemble import EnsembleModel
 from .tree import LEAF, Tree
 
@@ -178,7 +179,8 @@ def load_model(path) -> EnsembleModel:
     kind = reader.expect("kind")[0]
     if kind not in ("gbdt", "rf"):
         reader.fail(f"unknown model kind {kind!r}")
-    n_classes = reader.integer(reader.expect("n_classes")[0], low=1)
+    n_classes = reader.integer(reader.expect("n_classes")[0], low=1,
+                               high=MAX_CLASSES + 1)
     n_features = reader.integer(reader.expect("n_features")[0], low=1)
     n_rounds = reader.integer(reader.expect("n_rounds")[0]) if kind == "gbdt" else 0
     n_trees = reader.integer(reader.expect("n_trees")[0])

@@ -35,6 +35,7 @@ FLOAT_FMT = "%.9g"  # 9 significant digits everywhere we write decimals
 ROW_CHUNK = 128     # rows formatted per call by write_numeric_csv
 MAX_WHOLE = 2.0 ** 53   # integer columns must be exact in float64
 BEAT_LEN = 70       # samples per beat
+MAX_CLASSES = 64    # label symbols, so classes per model: room for every MIT-BIH beat symbol
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,9 @@ class LabelSet:
         if (not self.symbols or not all(self.symbols)
                 or len(set(self.symbols)) != len(self.symbols)):
             raise ValidationError("label symbols must be unique and non-empty")
+        if len(self.symbols) > MAX_CLASSES:
+            raise ValidationError(
+                f"at most {MAX_CLASSES} label symbols, got {len(self.symbols)}")
 
     def __len__(self):
         return len(self.symbols)

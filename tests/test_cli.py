@@ -11,9 +11,9 @@ import pytest
 
 from ecgbeats import cli
 from ecgbeats.model import GbdtParams, RfParams
-from ecgbeats.record_io import (BEAT_LEN, Beats, load_feature_matrix, read_beats_csv,
-                                save_feature_matrix, write_annotations_csv, write_beats_csv,
-                                write_signal_csv)
+from ecgbeats.record_io import (BEAT_LEN, MAX_CLASSES, Beats, load_feature_matrix,
+                                read_beats_csv, save_feature_matrix, write_annotations_csv,
+                                write_beats_csv, write_signal_csv)
 
 
 def run(*argv):
@@ -667,6 +667,66 @@ class TestErrors:
         assert code == 2
         assert f"{empty}: no feature rows" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("n_classes", [65, 3000, 100000000])
+    def test_evaluate_refuses_a_model_past_the_class_bound(self, tmp_path, capsys,
+                                                           pipeline_dir, n_classes):
+        # a header with no trees, so only the class count can refuse it; at
+        # 10^8, evaluate's K x K confusion matrix was a 268 GiB allocation
+        model = tmp_path / "m.txt"
+        model.write_text(f"ecgbeats-model 1\nkind gbdt\nn_classes {n_classes}\n"
+                         "n_features 76\nn_rounds 0\nn_trees 0\nend\n")
+        code = run("evaluate", "--model-file", model,
+                   "--features", pipeline_dir / "features_test.csv",
+                   "--out-dir", tmp_path / "eval")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {model}:3: {n_classes} outside [1, 65)\n"
+        assert not (tmp_path / "eval").exists()
+
+    def test_labels_past_the_class_bound_refused(self, tmp_path, capsys, pipeline_dir):
+        labels = ",".join(["N", "S", "V"] + [f"c{i}" for i in range(3, MAX_CLASSES + 1)])
+        code = run("train", "--features", pipeline_dir / "features_train.csv",
+                   "--out", tmp_path / "m.txt", "--labels", labels)
+        assert code == 1
+        assert f"at most {MAX_CLASSES} label symbols, got 65" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    @pytest.mark.parametrize("model_kind", ["gbdt", "rf"])
+    def test_a_model_of_max_classes_loads(self, tmp_path, pipeline_dir, model_kind):
+        labels = ",".join(["N", "S", "V"] + [f"c{i}" for i in range(3, MAX_CLASSES)])
+        model = tmp_path / "m.txt"
+        assert run("train", "--features", pipeline_dir / "features_train.csv",
+                   "--out", model, "--labels", labels, "--model", model_kind,
+                   "--n-estimators", 1, "--max-depth", 2, "--n-trees", 1) == 0
+        assert run("evaluate", "--model-file", model,
+                   "--features", pipeline_dir / "features_test.csv",
+                   "--out-dir", tmp_path / "eval") == 0
+        with open(tmp_path / "eval" / "confusion.csv") as fh:
+            assert len(fh.readlines()) == MAX_CLASSES
+
+    @pytest.mark.parametrize("stage, name, argv", [
+        ("synth", "generate", ["--n-beats", 100000000000]),
+        ("balance", "apply_plan", ["--targets", "N=100000000000,S=10,V=10"]),
+    ])
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 745. GiB for an array"),
+         "Unable to allocate 745. GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                            pipeline_dir, stage, name, argv, exc, message):
+        # the stage's allocation is refused before anything is written
+        def refused(*args, **kwargs):
+            raise exc
+
+        module = {"synth": cli.synth_mod, "balance": cli.balance_mod}[stage]
+        monkeypatch.setattr(module, name, refused)
+        out = tmp_path / "out"
+        io = {"synth": ["--out-dir", out],
+              "balance": ["--features", pipeline_dir / "features_train.csv", "--out", out]}
+        assert run(stage, *io[stage], *argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -192,6 +192,36 @@ def test_saved_model_bytes_pinned(tmp_path):
     assert digest == PINNED_MODEL_SHA256
 
 
+@st.composite
+def one_class_tree(draw):
+    """Rounded features with ties, and the derivatives of one class at
+    probabilities in steps of 0.1."""
+    n = draw(st.integers(1, 40))
+    n_cols = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=n * n_cols, max_size=n * n_cols))
+    x = 0.5 * np.array(cells, dtype=float).reshape(n, n_cols)
+    p = 0.1 * np.array(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    params = GbdtParams(max_depth=draw(st.integers(1, 4)),
+                        min_data_in_leaf=draw(st.integers(1, 5)),
+                        l1_alpha=draw(st.sampled_from([0.0, 0.5])),
+                        l2_lambda=draw(st.sampled_from([0.0, 0.7327])))
+    return x, p - y, p * (1.0 - p), params
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_class_tree())
+def test_step_is_each_rows_leaf_value(problem):
+    # the scores fit_gbdt adds equal the tree's own routing of the training rows
+    x, g, h, params = problem
+    order = np.argsort(x.T, axis=1, kind="stable")
+    xs = np.take_along_axis(x.T, order, axis=1)
+    tree, step = gbdt._build_tree(x, order, xs, g, h, params)
+    routed = tree.value[tree.apply(x)]
+    assert step.dtype == routed.dtype and step.shape == routed.shape
+    assert step.tobytes() == routed.tobytes()
+
+
 def serial_fit(x, y, params, k):
     """fit_gbdt's loop on one thread: _build_tree class by class, in order."""
     x, y, k = check_training_data(x, y, k)
@@ -205,7 +235,9 @@ def serial_fit(x, y, params, k):
         for cls in range(k):
             g = probs[:, cls] - onehot[:, cls]
             h = probs[:, cls] * (1.0 - probs[:, cls])
-            trees.append(gbdt._build_tree(x, order, xs, g, h, params, scores[:, cls]))
+            tree, step = gbdt._build_tree(x, order, xs, g, h, params)
+            trees.append(tree)
+            scores[:, cls] += step
         probs = softmax(scores)
         logloss.append(float(-np.mean(np.log(probs[np.arange(x.shape[0]), y]))))
     return EnsembleModel(kind="gbdt", n_classes=k, n_features=x.shape[1],

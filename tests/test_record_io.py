@@ -3,7 +3,7 @@ import pytest
 
 from ecgbeats import cli
 from ecgbeats.errors import DataError, ParseError, ValidationError
-from ecgbeats.record_io import (EcgRecord, LabelSet, export_image,
+from ecgbeats.record_io import (MAX_CLASSES, EcgRecord, LabelSet, export_image,
                                 load_feature_matrix, load_image_f32,
                                 load_record, read_pgm, save_feature_matrix,
                                 write_annotations_csv, write_signal_csv)
@@ -117,6 +117,12 @@ class TestLabelSet:
     @pytest.mark.parametrize("symbols", [(), ("",), ("N", "", "V")])
     def test_rejects_empty_symbols(self, symbols):
         with pytest.raises(ValidationError, match="unique and non-empty"):
+            LabelSet(symbols)
+
+    def test_at_most_max_classes_symbols(self):
+        symbols = tuple(f"c{i}" for i in range(MAX_CLASSES + 1))
+        assert len(LabelSet(symbols[:-1])) == MAX_CLASSES
+        with pytest.raises(ValidationError, match=f"at most {MAX_CLASSES} label symbols, got 65"):
             LabelSet(symbols)
 
 
