@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DataError, ParseError, ValidationError, is_int, real_above, validate
 
 FLOAT_FMT = "%.9g"  # 9 significant digits everywhere we write decimals
-ROW_CHUNK = 128     # rows formatted per call by write_numeric_csv
+VALUE_CHUNK = 128 * 77   # values formatted per call by write_numeric_csv
 MAX_WHOLE = 2.0 ** 53   # integer columns must be exact in float64
 BEAT_LEN = 70       # samples per beat
 MAX_CLASSES = 64    # label symbols, so classes per model: room for every MIT-BIH beat symbol
@@ -133,21 +133,23 @@ def write_numeric_csv(path, data, header=None, int_cols=()) -> None:
     """Write a 2-D array as comma-separated rows with ``\\r\\n`` line ends.
 
     Values use FLOAT_FMT, except the ``int_cols`` columns, which use ``%d``.
-    Each chunk of up to ROW_CHUNK rows is one ``%`` on the row template
-    repeated over the chunk, so memory stays bounded by the chunk.
+    Each chunk of about VALUE_CHUNK values, in whole rows, is one ``%`` on
+    the row template repeated over the chunk, so memory stays bounded by
+    the chunk whatever the width.
     """
     data = np.asarray(data, dtype=float)
     fields = [FLOAT_FMT] * data.shape[1]
     for col in int_cols:
         fields[col] = "%d"
     row = ",".join(fields) + "\r\n"
-    full = row * ROW_CHUNK
+    rows = max(1, VALUE_CHUNK // max(1, data.shape[1]))
+    full = row * rows
     with open(path, "w", newline="") as fh:
         if header is not None:
             fh.write(",".join(header) + "\r\n")
-        for start in range(0, data.shape[0], ROW_CHUNK):
-            chunk = data[start:start + ROW_CHUNK]
-            template = full if chunk.shape[0] == ROW_CHUNK else row * chunk.shape[0]
+        for start in range(0, data.shape[0], rows):
+            chunk = data[start:start + rows]
+            template = full if chunk.shape[0] == rows else row * chunk.shape[0]
             fh.write(template % tuple(chunk.ravel().tolist()))
 
 
@@ -408,16 +410,6 @@ def export_image(image, stem) -> None:
         write_pgm(f"{stem}_{name}.pgm", channel)
 
 
-def load_image_f32(path, size: int = 32) -> np.ndarray:
-    """Read a ``.f32`` file back into a float32 (3, size, size) array."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    expected = 3 * size * size * 4
-    if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype="<f4").reshape(3, size, size).copy()
-
-
 def write_pgm(path, channel: np.ndarray) -> None:
     channel = np.asarray(channel, dtype=float)
     lo, hi = channel.min(), channel.max()
@@ -429,24 +421,3 @@ def write_pgm(path, channel: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 PGM written by write_pgm."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise DataError(f"{path}: not a binary PGM")
-        header = fh.readline().split() + [fh.readline().strip()]
-        header = [parse_number(v.decode("latin-1"), int) for v in header]
-        if len(header) != 3 or None in header:
-            raise DataError(f"{path}: malformed PGM header")
-        w, h, maxval = header
-        if min(w, h) < 0:
-            raise DataError(f"{path}: negative PGM size {w} x {h}")
-        if maxval != 255:
-            raise DataError(f"{path}: expected maxval 255, got {maxval}")
-        data = fh.read()    # bounded by the file, not by the header's size
-    if len(data) != w * h:
-        raise DataError(f"{path}: {len(data)} pixel bytes for a {w} x {h} PGM")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w).copy()

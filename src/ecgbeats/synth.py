@@ -7,6 +7,13 @@ inverted-then-tall complex arriving slightly early, S keeps normal
 morphology but arrives clearly premature (short preceding RR). All
 randomness flows from one seeded PCG64 stream, so identical configs yield
 identical records.
+
+The draw order is part of that byte contract: the beat permutation, then
+one RR draw for each beat after the first, then the noise in sample order.
+Each sample's value is the running sum of its terms, added beat by beat in
+time order and, within a beat, component by component in template order.
+``generate`` forms the sums in array layers (layer m adds each sample's
+m-th covering beat), which makes exactly those additions in that order.
 """
 
 from __future__ import annotations
@@ -33,6 +40,18 @@ _RR_BEFORE = {"N": 1.0, "S": 0.55, "V": 0.85}
 _RR_COMPENSATORY = {"S": 1.15, "V": 1.15}
 
 _EDGE_PAD_S = 1.0
+# seconds of signal per array pass of generate: eight one-second windows, so
+# few grid cells fall outside a pass, and its buffers, which the C heap may
+# keep resident after generate returns, stay small beside the signal
+_CHUNK_S = 8.0
+
+# _TEMPLATES as a (parameter, component, symbol) table; a V beat's missing
+# components are amplitude 0, width 1: each adds +0.0, which changes no
+# running sum, since a sum that starts at +0.0 is never -0.0
+_SYMBOLS = tuple(_TEMPLATES)
+_COMPONENTS = np.array([
+    [_TEMPLATES[sym][c] if c < len(_TEMPLATES[sym]) else (0.0, 0.0, 1.0) for sym in _SYMBOLS]
+    for c in range(max(map(len, _TEMPLATES.values())))]).transpose(2, 0, 1)
 
 
 @dataclass
@@ -72,28 +91,64 @@ def generate(cfg: SynthConfig) -> EcgRecord:
     # R-peak times: class-dependent prematurity, with a compensatory pause
     # granted only to a normal beat that follows an ectopic (so S beats are
     # always premature relative to the record median RR)
-    times = [_EDGE_PAD_S]
-    for prev_sym, sym in zip(schedule, schedule[1:]):
-        if sym == "N" and prev_sym in _RR_COMPENSATORY:
-            fraction = _RR_COMPENSATORY[prev_sym]
-        else:
-            fraction = _RR_BEFORE[sym]
-        rr = cfg.base_rr * fraction * (1.0 + rng.normal(0.0, cfg.rr_jitter))
-        times.append(times[-1] + max(rr, 0.2 * cfg.base_rr))
-    times = np.asarray(times)
+    fractions = [_RR_COMPENSATORY[prev_sym] if sym == "N" and prev_sym in _RR_COMPENSATORY
+                 else _RR_BEFORE[sym] for prev_sym, sym in zip(schedule, schedule[1:])]
+    rr = cfg.base_rr * np.array(fractions) * (
+        1.0 + rng.normal(0.0, cfg.rr_jitter, size=len(fractions)))
+    times = np.cumsum(np.concatenate(([_EDGE_PAD_S], np.maximum(rr, 0.2 * cfg.base_rr))))
 
     duration = times[-1] + _EDGE_PAD_S
     n = int(np.ceil(duration * cfg.fs)) + 1
-    t = np.arange(n) / cfg.fs
+    # beat b covers samples lo[b] .. hi[b] - 1, those within 0.5 s of its
+    # R-peak; both bounds rise with b
+    lo = _first_sample(times - 0.5, n, cfg.fs)
+    hi = _first_sample(times + 0.5, n, cfg.fs)
+    span = int((hi - lo).max())
+    codes = np.array([_SYMBOLS.index(sym) for sym in schedule])
     signal = np.zeros(n)
-    for t_r, sym in zip(times, schedule):
-        lo = np.searchsorted(t, t_r - 0.5)
-        hi = np.searchsorted(t, t_r + 0.5)
-        dt = t[lo:hi] - t_r
-        for offset, amplitude, width in _TEMPLATES[sym]:
-            signal[lo:hi] += amplitude * np.exp(-0.5 * ((dt - offset) / width) ** 2)
-    if cfg.noise_std > 0:
-        signal += rng.normal(0.0, cfg.noise_std, size=n)
+    step = max(1, int(_CHUNK_S * cfg.fs))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        # windows are in time order, so the beats covering sample i are
+        # first[i] .. first[i] + covering[i] - 1
+        first = _count_to(hi, start, stop)
+        begun = _count_to(lo, start, stop)
+        covering = begun - first
+        # every term of the beats b0 .. b1 - 1 that meet the chunk, on a
+        # (component, beat, window sample) grid
+        b0, b1 = first[0], begun[-1]
+        offset, amplitude, width = _COMPONENTS[:, :, codes[b0:b1], None]
+        dt = (lo[b0:b1, None] + np.arange(span)) / cfg.fs - times[b0:b1, None]
+        terms = amplitude * np.exp(-0.5 * ((dt - offset) / width) ** 2)
+        terms = terms.reshape(len(terms), -1)
+        chunk = signal[start:stop]
+        # layer m adds each sample's m-th covering beat, component by component
+        for m in range(covering.max()):
+            at = np.flatnonzero(covering > m)
+            beat = first[at] + m
+            cell = (beat - b0) * span + start + at - lo[beat]
+            value = chunk[at]
+            for component in terms:
+                value += component[cell]
+            chunk[at] = value
+        if cfg.noise_std > 0:
+            chunk += rng.normal(0.0, cfg.noise_std, size=stop - start)
 
     rpeaks = np.rint(times * cfg.fs).astype(int)
     return EcgRecord(signal=signal, fs=cfg.fs, rpeaks=rpeaks, labels=schedule)
+
+
+def _first_sample(x, n, fs):
+    """For each time x, the first sample k < n with k / fs >= x, else n:
+    ``np.searchsorted(np.arange(n) / fs, x)`` without that n-sample grid.
+    ceil(x * fs) misses it by at most one sample either way."""
+    k = np.clip(np.ceil(x * fs), 0, n).astype(int)
+    k -= (k > 0) & ((k - 1) / fs >= x)
+    k += (k < n) & (k / fs < x)
+    return k
+
+
+def _count_to(bounds, start, stop):
+    """For each sample i in [start, stop), the number of sorted ``bounds`` <= i."""
+    k0, k1 = np.searchsorted(bounds, [start, stop - 1], side="right")
+    return k0 + np.cumsum(np.bincount(bounds[k0:k1] - start, minlength=stop - start))

@@ -1,7 +1,13 @@
 """Shared independent oracles for the test suite. Kept apart from the test
 modules so nothing here gets collected twice."""
 
+import tracemalloc
+
 import numpy as np
+
+from ecgbeats.errors import DataError
+from ecgbeats.record_io import EcgRecord, parse_number
+from ecgbeats.synth import _EDGE_PAD_S, _RR_BEFORE, _RR_COMPENSATORY, _TEMPLATES
 
 
 def segment_distance(point, a, b):
@@ -29,6 +35,19 @@ def analytic_bandpass_db(f, low=0.5, high=35.0, order=4):
     return 2.0 * 10.0 * np.log10(1.0 / (1.0 + omega ** (2 * order)))
 
 
+def peak_traced_bytes(fn, *args):
+    """Peak bytes allocated while fn runs, numpy's buffers included; args
+    allocated before the call are not counted, the result is."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def random_image(rng=None):
     """A (3, 32, 32) beat image with channels (gasf, mtf, rp) drawn over their
     legal value ranges, or all zeros without an rng."""
@@ -36,3 +55,72 @@ def random_image(rng=None):
         return np.zeros((3, 32, 32))
     return np.stack([rng.uniform(-1, 1, (32, 32)), rng.uniform(0, 1, (32, 32)),
                      rng.uniform(0, 1, (32, 32))])
+
+
+def reference_generate(cfg):
+    """``synth.generate`` as a loop over beats and their components: each
+    ``signal[lo:hi] +=`` adds one Gaussian, so every sample's sum is formed
+    in beat order, then template order. The RR jitter is one draw per beat."""
+    rng = np.random.default_rng(cfg.seed)
+    schedule = rng.permutation(
+        [sym for sym in ("N", "S", "V") for _ in range(cfg.n_beats)]
+    ).tolist()
+    schedule = ["N"] + schedule + ["N"]
+
+    times = [_EDGE_PAD_S]
+    for prev_sym, sym in zip(schedule, schedule[1:]):
+        if sym == "N" and prev_sym in _RR_COMPENSATORY:
+            fraction = _RR_COMPENSATORY[prev_sym]
+        else:
+            fraction = _RR_BEFORE[sym]
+        rr = cfg.base_rr * fraction * (1.0 + rng.normal(0.0, cfg.rr_jitter))
+        times.append(times[-1] + max(rr, 0.2 * cfg.base_rr))
+    times = np.asarray(times)
+
+    duration = times[-1] + _EDGE_PAD_S
+    n = int(np.ceil(duration * cfg.fs)) + 1
+    t = np.arange(n) / cfg.fs
+    signal = np.zeros(n)
+    for t_r, sym in zip(times, schedule):
+        lo = np.searchsorted(t, t_r - 0.5)
+        hi = np.searchsorted(t, t_r + 0.5)
+        dt = t[lo:hi] - t_r
+        for offset, amplitude, width in _TEMPLATES[sym]:
+            signal[lo:hi] += amplitude * np.exp(-0.5 * ((dt - offset) / width) ** 2)
+    if cfg.noise_std > 0:
+        signal += rng.normal(0.0, cfg.noise_std, size=n)
+
+    rpeaks = np.rint(times * cfg.fs).astype(int)
+    return EcgRecord(signal=signal, fs=cfg.fs, rpeaks=rpeaks, labels=schedule)
+
+
+def load_image_f32(path, size: int = 32) -> np.ndarray:
+    """Read a ``.f32`` file written by ``record_io.export_image`` back into a
+    float32 (3, size, size) array."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    expected = 3 * size * size * 4
+    if len(raw) != expected:
+        raise DataError(f"{path}: expected {expected} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype="<f4").reshape(3, size, size).copy()
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a binary P5 PGM written by ``record_io.write_pgm``."""
+    with open(path, "rb") as fh:
+        magic = fh.readline().strip()
+        if magic != b"P5":
+            raise DataError(f"{path}: not a binary PGM")
+        header = fh.readline().split() + [fh.readline().strip()]
+        header = [parse_number(v.decode("latin-1"), int) for v in header]
+        if len(header) != 3 or None in header:
+            raise DataError(f"{path}: malformed PGM header")
+        w, h, maxval = header
+        if min(w, h) < 0:
+            raise DataError(f"{path}: negative PGM size {w} x {h}")
+        if maxval != 255:
+            raise DataError(f"{path}: expected maxval 255, got {maxval}")
+        data = fh.read()    # bounded by the file, not by the header's size
+    if len(data) != w * h:
+        raise DataError(f"{path}: {len(data)} pixel bytes for a {w} x {h} PGM")
+    return np.frombuffer(data, dtype=np.uint8).reshape(h, w).copy()

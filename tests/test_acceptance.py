@@ -21,10 +21,10 @@ from ecgbeats.model import (GbdtParams, RfParams, fit_gbdt, fit_random_forest,
                             load_model, predict_batch, save_model)
 from ecgbeats.preprocess import (bandpass_filter, normalize_beats,
                                  preprocess_record, segment_beats)
-from ecgbeats.record_io import (export_image, load_feature_matrix,
-                                load_image_f32, save_feature_matrix)
+from ecgbeats.record_io import export_image, load_feature_matrix, save_feature_matrix
 from ecgbeats.synth import SynthConfig, generate
-from tests.helpers import analytic_bandpass_db, min_segment_distance, random_image
+from tests.helpers import (analytic_bandpass_db, load_image_f32, min_segment_distance,
+                           random_image)
 
 
 def criterion(name):

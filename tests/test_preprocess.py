@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +9,7 @@ from ecgbeats.errors import ValidationError
 from ecgbeats.preprocess import (BEAT_LEN, bandpass_filter, bandpass_sos, normalize_beats,
                                  preprocess_record, resample, segment_beats)
 from ecgbeats.record_io import Beats, EcgRecord
-from tests.helpers import analytic_bandpass_db
+from tests.helpers import analytic_bandpass_db, peak_traced_bytes
 
 FS = 180.0
 
@@ -161,19 +160,6 @@ class TestBandpass:
         assert not np.shares_memory(out, x)
 
 
-def _peak_traced_bytes(fn, *args):
-    """Peak bytes allocated while fn runs, numpy's buffers included; args
-    allocated before the call are not counted, the result is."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemory:
     N = 200_000
 
@@ -181,14 +167,14 @@ class TestMemory:
         # the padded signal and the two passes' float64 buffers: ~17 B; a
         # list of Python floats per pass was 88 B
         x = np.random.default_rng(9).normal(size=self.N).cumsum()
-        assert _peak_traced_bytes(bandpass_filter, x, FS) / self.N <= 32
+        assert peak_traced_bytes(bandpass_filter, x, FS) / self.N <= 32
 
     def test_preprocess_record_peaks_under_32_bytes_an_input_sample(self):
         rng = np.random.default_rng(10)
         rpeaks = np.arange(100, self.N - 100, 200)
         record = EcgRecord(signal=rng.normal(size=self.N).cumsum(), fs=250.0,
                            rpeaks=rpeaks, labels=["N"] * rpeaks.shape[0])
-        assert _peak_traced_bytes(preprocess_record, record, FS) / self.N <= 32
+        assert peak_traced_bytes(preprocess_record, record, FS) / self.N <= 32
 
 
 def _record(n, rpeaks, labels=None, fs=FS):

@@ -4,10 +4,9 @@ import pytest
 from ecgbeats import cli
 from ecgbeats.errors import DataError, ParseError, ValidationError
 from ecgbeats.record_io import (MAX_CLASSES, EcgRecord, LabelSet, export_image,
-                                load_feature_matrix, load_image_f32,
-                                load_record, read_pgm, save_feature_matrix,
+                                load_feature_matrix, load_record, save_feature_matrix,
                                 write_annotations_csv, write_signal_csv)
-from tests.helpers import random_image
+from tests.helpers import load_image_f32, random_image, read_pgm
 
 
 def _write(path, text):
