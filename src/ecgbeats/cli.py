@@ -2,10 +2,12 @@
 encode -> train -> evaluate -> report, plus gridsearch.
 
 Every stage is file-to-file, independently runnable, and deterministic given
-its seed, so reruns are byte-identical. Each primary output gets a
-``<name>.manifest.json`` sidecar recording the resolved parameters and their
-hash. Defaults may come from a JSON config file (``--config``) whose
-top-level keys are stage names; explicit flags win, and config values are
+its seed, so reruns are byte-identical. A stage returns its input paths, its
+primary outputs and its summary line. Only after the stage succeeds does
+``main`` write each output's ``<name>.manifest.json`` sidecar, recording the
+resolved parameters and their hash, and print the summary, so a failed stage
+leaves no manifest. Defaults may come from a JSON config file (``--config``)
+whose top-level keys are stage names; explicit flags win, and config values are
 taken as the JSON values they are. Every section is checked against its
 flags when the config loads. Flag defaults are the field defaults of the
 params objects the stages build, and those objects check the parameters
@@ -108,7 +110,7 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_manifest(target, args, inputs=()) -> None:
+def _write_manifest(target, args, inputs) -> None:
     payload = {
         "stage": args.stage,
         "params": _manifest_params(args),
@@ -149,7 +151,7 @@ def _parse_targets(spec: str, label_set: LabelSet) -> dict:
 # stages
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple:
     cfg = synth_mod.SynthConfig(n_beats=args.n_beats, fs=args.fs,
                                 noise_std=args.noise_std, seed=args.seed)
     record = synth_mod.generate(cfg)
@@ -157,12 +159,11 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     record_io.write_signal_csv(out / "signal.csv", record.signal)
     record_io.write_annotations_csv(out / "annotations.csv", record.rpeaks, record.labels)
-    _write_manifest(out / "signal.csv", args)
-    print(f"synth: wrote {len(record.rpeaks)} beats at {args.fs} Hz to {out}")
-    return 0
+    return [], [out / "signal.csv"], (f"synth: wrote {len(record.rpeaks)} beats "
+                                      f"at {args.fs} Hz to {out}")
 
 
-def cmd_preprocess(args) -> int:
+def cmd_preprocess(args) -> tuple:
     validate(preprocess_mod.rate_rule(args.fs, args.target_fs, ("fs", "target_fs"))
              + preprocess_mod.band_rule(args.low_hz, args.high_hz, args.target_fs,
                                         ("low_hz", "high_hz", "target_fs")))
@@ -189,13 +190,11 @@ def cmd_preprocess(args) -> int:
                 fs=processed.fs, n_rpeaks=len(processed.rpeaks), n_beats=len(beats),
                 n_dropped=dropped, skipped_labels=len(unknown))
     _write_json(out / "record_meta.json", meta)
-    _write_manifest(out / "beats.csv", args, inputs)
-    print(f"preprocess: kept {len(beats)} beats, dropped {dropped}, "
-          f"skipped {len(unknown)} unknown labels")
-    return 0
+    return inputs, [out / "beats.csv"], (f"preprocess: kept {len(beats)} beats, dropped "
+                                         f"{dropped}, skipped {len(unknown)} unknown labels")
 
 
-def cmd_featurize(args) -> int:
+def cmd_featurize(args) -> tuple:
     meta_path = args.meta or Path(args.beats).parent / "record_meta.json"
     inputs = _require_inputs(args.beats, meta_path)
     beats = read_beats_csv(args.beats)
@@ -216,13 +215,12 @@ def cmd_featurize(args) -> int:
                  for name, idx in zip(("train", "test"), split)]
     for _, path, idx in parts:
         record_io.save_feature_matrix(rows[idx], labels[idx], path)
-        _write_manifest(path, args, inputs)
-    print("featurize: wrote " + ", ".join(f"{len(idx)} {name}rows to {path}"
-                                          for name, path, idx in parts))
-    return 0
+    return inputs, [path for _, path, _ in parts], (
+        "featurize: wrote " + ", ".join(f"{len(idx)} {name}rows to {path}"
+                                        for name, path, idx in parts))
 
 
-def cmd_balance(args) -> int:
+def cmd_balance(args) -> tuple:
     label_set = _label_set(args)
     plan = balance_mod.BalancePlan(targets=_parse_targets(args.targets, label_set),
                                    k_neighbors=args.k_neighbors, seed=args.seed)
@@ -231,14 +229,12 @@ def cmd_balance(args) -> int:
     metrics_mod.check_labels(labels, len(label_set))
     rows, labels = balance_mod.apply_plan(rows, labels, plan)
     record_io.save_feature_matrix(rows, labels, args.out)
-    _write_manifest(args.out, args, inputs)
     histogram = {label_set.symbol_of(c): int(n)
                  for c, n in zip(*np.unique(labels, return_counts=True))}
-    print(f"balance: wrote {len(labels)} rows, histogram {histogram}")
-    return 0
+    return inputs, [args.out], f"balance: wrote {len(labels)} rows, histogram {histogram}"
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> tuple:
     cfg = MtfConfig(n_bins=args.mtf_bins)
     inputs = _require_inputs(args.beats)
     beats = read_beats_csv(args.beats)
@@ -257,12 +253,10 @@ def cmd_encode(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["stem", "label"])
         writer.writerows(zip(stems, beats.label.tolist()))
-    _write_manifest(out / "index.csv", args, inputs)
-    print(f"encode: wrote {len(beats)} images to {out}")
-    return 0
+    return inputs, [out / "index.csv"], f"encode: wrote {len(beats)} images to {out}"
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple:
     fit, param_cls = _model_kind(args.model)
     # each params field takes the flag of its name; rf's max_depth is --rf-max-depth
     flags = dict(vars(args), max_depth=args.rf_max_depth) if args.model == "rf" else vars(args)
@@ -272,13 +266,11 @@ def cmd_train(args) -> int:
     rows, labels = record_io.load_feature_matrix(args.features)
     model = fit(rows, labels, params, n_classes=len(label_set))
     save_model(model, args.out)
-    _write_manifest(args.out, args, inputs)
-    print(f"train: fitted {args.model} on {len(labels)} rows "
-          f"({len(model.trees)} trees) -> {args.out}")
-    return 0
+    return inputs, [args.out], (f"train: fitted {args.model} on {len(labels)} rows "
+                                f"({len(model.trees)} trees) -> {args.out}")
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> tuple:
     inputs = _require_inputs(args.model_file, args.features)
     model = load_model(args.model_file)
     rows, labels = record_io.load_feature_matrix(args.features)
@@ -295,12 +287,10 @@ def cmd_evaluate(args) -> int:
     metrics_mod.write_metrics_csv(out / "metrics.csv", [report])
     with open(out / "confusion.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(cm.tolist())
-    _write_manifest(out / "metrics.csv", args, inputs)
-    print(metrics_mod.format_report([report]))
-    return 0
+    return inputs, [out / "metrics.csv"], metrics_mod.format_report([report])
 
 
-def cmd_gridsearch(args) -> int:
+def cmd_gridsearch(args) -> tuple:
     label_set, plan = _label_set(args), None
     if args.targets is not None:
         plan = balance_mod.BalancePlan(targets=_parse_targets(args.targets, label_set),
@@ -332,13 +322,12 @@ def cmd_gridsearch(args) -> int:
                              " ".join(f"{s:.6f}" for s in r.fold_f1)])
     best_index = next(r.index for r in results if r.params is best)
     _write_json(out / "best_params.json", raw_grid[best_index])
-    _write_manifest(out / "results.csv", args, inputs)
-    print(f"gridsearch: best combination #{best_index} "
-          f"(mean macro F1 {results[best_index].mean_f1:.4f})")
-    return 0
+    return inputs, [out / "results.csv"], (
+        f"gridsearch: best combination #{best_index} "
+        f"(mean macro F1 {results[best_index].mean_f1:.4f})")
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> tuple:
     inputs = _require_inputs(*args.metrics)
     reports = []
     for path in args.metrics:
@@ -347,9 +336,7 @@ def cmd_report(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        _write_manifest(args.out, args, inputs)
-    print(text)
-    return 0
+    return inputs, [args.out] if args.out else [], text
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +484,11 @@ def main(argv=None) -> int:
         args = build_parser(config).parse_args(argv)
         for key, value in config.get(args.stage, {}).items():
             vars(args).setdefault(key, value)
-        return args.func(args)
+        inputs, outputs, summary = args.func(args)
+        for target in outputs:
+            _write_manifest(target, args, inputs)
+        print(summary)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

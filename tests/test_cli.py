@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -20,20 +22,46 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def run_stage(root, argv, inputs, outputs, stdout):
+    """Run a stage that must succeed and check what it leaves under root: one
+    manifest per primary output and no other, each naming the stage's inputs
+    in order under the SHA-256 of its canonical payload, and stdout."""
+    before = set(root.rglob("*.manifest.json"))
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert run(*argv) == 0
+    added = set(root.rglob("*.manifest.json")) - before
+    assert sorted(map(str, added)) == sorted(f"{out}.manifest.json" for out in outputs)
+    for path in added:
+        manifest = json.loads(path.read_text())
+        assert sorted(manifest) == ["config_sha256", "inputs", "params", "stage"]
+        assert manifest["stage"] == argv[0]
+        assert manifest["inputs"] == [str(p) for p in inputs]
+        payload = {key: manifest[key] for key in ("stage", "params", "inputs")}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert manifest["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+    assert buffer.getvalue() == stdout
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """synth -> preprocess -> featurize(split), shared by the fast CLI tests."""
     root = tmp_path_factory.mktemp("pipeline")
-    raw = root / "raw"
-    assert run("synth", "--out-dir", raw, "--n-beats", 30,
-               "--noise-std", "0.02", "--seed", 7) == 0
-    pre = root / "pre"
-    assert run("preprocess", "--signal", raw / "signal.csv",
-               "--annotations", raw / "annotations.csv",
-               "--fs", 250, "--out-dir", pre) == 0
-    assert run("featurize", "--beats", pre / "beats.csv",
-               "--out", root / "features.csv",
-               "--test-fraction", "0.2", "--split-seed", 1) == 0
+    raw, pre = root / "raw", root / "pre"
+    run_stage(root, ["synth", "--out-dir", raw, "--n-beats", 30,
+                     "--noise-std", "0.02", "--seed", 7],
+              [], [raw / "signal.csv"], f"synth: wrote 92 beats at 250.0 Hz to {raw}\n")
+    run_stage(root, ["preprocess", "--signal", raw / "signal.csv",
+                     "--annotations", raw / "annotations.csv",
+                     "--fs", 250, "--out-dir", pre],
+              [raw / "signal.csv", raw / "annotations.csv"], [pre / "beats.csv"],
+              "preprocess: kept 90 beats, dropped 2, skipped 0 unknown labels\n")
+    train, test = root / "features_train.csv", root / "features_test.csv"
+    run_stage(root, ["featurize", "--beats", pre / "beats.csv",
+                     "--out", root / "features.csv",
+                     "--test-fraction", "0.2", "--split-seed", 1],
+              [pre / "beats.csv", pre / "record_meta.json"], [train, test],
+              f"featurize: wrote 72 train rows to {train}, 18 test rows to {test}\n")
     return root
 
 
@@ -55,36 +83,64 @@ class TestPipeline:
         _, test_labels = load_feature_matrix(pipeline_dir / "features_test.csv")
         assert np.bincount(train_labels, minlength=3).tolist() == [24, 24, 24]
         assert np.bincount(test_labels, minlength=3).tolist() == [6, 6, 6]
+        pre, out = pipeline_dir / "pre", pipeline_dir / "features_all.csv"
+        run_stage(pipeline_dir, ["featurize", "--beats", pre / "beats.csv", "--out", out],
+                  [pre / "beats.csv", pre / "record_meta.json"], [out],
+                  f"featurize: wrote 90 rows to {out}\n")
+        _, all_labels = load_feature_matrix(out)
+        assert np.bincount(all_labels, minlength=3).tolist() == [30, 30, 30]
 
-    def test_train_evaluate_report(self, pipeline_dir, capsys):
-        model_path = pipeline_dir / "model.txt"
-        assert run("train", "--features", pipeline_dir / "features_train.csv",
-                   "--out", model_path, "--model", "gbdt",
-                   "--n-estimators", 8, "--max-depth", 3,
-                   "--min-data-in-leaf", 2) == 0
-        eval_dir = pipeline_dir / "eval"
-        assert run("evaluate", "--model-file", model_path,
-                   "--features", pipeline_dir / "features_test.csv",
-                   "--out-dir", eval_dir, "--name", "gbdt-small") == 0
+    def test_train_evaluate_report(self, pipeline_dir):
+        features = pipeline_dir / "features_train.csv"
+        test = pipeline_dir / "features_test.csv"
+        gbdt, rf = pipeline_dir / "model.txt", pipeline_dir / "rf.txt"
+        run_stage(pipeline_dir, ["train", "--features", features, "--out", gbdt,
+                                 "--model", "gbdt", "--n-estimators", 8, "--max-depth", 3,
+                                 "--min-data-in-leaf", 2],
+                  [features], [gbdt], f"train: fitted gbdt on 72 rows (24 trees) -> {gbdt}\n")
+        run_stage(pipeline_dir, ["train", "--features", features, "--out", rf,
+                                 "--model", "rf", "--n-trees", 3, "--seed", 2],
+                  [features], [rf], f"train: fitted rf on 72 rows (3 trees) -> {rf}\n")
+        header = ("Model       Precision  Recall  Accuracy  F1 score\n"
+                  "----------  ---------  ------  --------  --------\n")
+        gbdt_row = "gbdt-small  1.0000     1.0000  1.0000    1.0000  \n"
+        eval_dir, eval_rf = pipeline_dir / "eval", pipeline_dir / "eval_rf"
+        run_stage(pipeline_dir, ["evaluate", "--model-file", gbdt, "--features", test,
+                                 "--out-dir", eval_dir, "--name", "gbdt-small"],
+                  [gbdt, test], [eval_dir / "metrics.csv"], header + gbdt_row)
+        run_stage(pipeline_dir, ["evaluate", "--model-file", rf, "--features", test,
+                                 "--out-dir", eval_rf],
+                  [rf, test], [eval_rf / "metrics.csv"],
+                  "Model  Precision  Recall  Accuracy  F1 score\n"
+                  "-----  ---------  ------  --------  --------\n"
+                  "rf     1.0000     1.0000  1.0000    1.0000  \n")
         metrics = (eval_dir / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "model,precision,recall,accuracy,f1"
         assert metrics[1].startswith("gbdt-small,")
-        assert run("report", "--metrics", eval_dir / "metrics.csv") == 0
-        out = capsys.readouterr().out
-        assert "Model" in out and "F1 score" in out and "gbdt-small" in out
+        # without --out the table goes to stdout alone, and no manifest is written
+        run_stage(pipeline_dir, ["report", "--metrics", eval_dir / "metrics.csv"],
+                  [eval_dir / "metrics.csv"], [], header + gbdt_row)
+        both = [eval_dir / "metrics.csv", eval_rf / "metrics.csv"]
+        out = pipeline_dir / "report.txt"
+        text = header + gbdt_row + "rf          1.0000     1.0000  1.0000    1.0000  \n"
+        run_stage(pipeline_dir, ["report", "--metrics", *both, "--out", out],
+                  both, [out], text)
+        assert out.read_text() == text
 
     def test_balance_stage(self, pipeline_dir):
-        out = pipeline_dir / "balanced.csv"
-        assert run("balance", "--features", pipeline_dir / "features_train.csv",
-                   "--out", out, "--targets", "N=20,S=30,V=30",
-                   "--k-neighbors", 3, "--seed", 5) == 0
+        features, out = pipeline_dir / "features_train.csv", pipeline_dir / "balanced.csv"
+        run_stage(pipeline_dir, ["balance", "--features", features, "--out", out,
+                                 "--targets", "N=20,S=30,V=30", "--k-neighbors", 3,
+                                 "--seed", 5],
+                  [features], [out],
+                  "balance: wrote 80 rows, histogram {'N': 20, 'S': 30, 'V': 30}\n")
         _, labels = load_feature_matrix(out)
         assert np.bincount(labels, minlength=3).tolist() == [20, 30, 30]
 
     def test_encode_emits_four_files_per_beat(self, pipeline_dir):
-        out = pipeline_dir / "images"
-        assert run("encode", "--beats", pipeline_dir / "pre" / "beats.csv",
-                   "--out-dir", out) == 0
+        beats, out = pipeline_dir / "pre" / "beats.csv", pipeline_dir / "images"
+        run_stage(pipeline_dir, ["encode", "--beats", beats, "--out-dir", out],
+                  [beats], [out / "index.csv"], f"encode: wrote 90 images to {out}\n")
         f32s = sorted(out.glob("*.f32"))
         assert len(f32s) == 90
         for stem in (p.with_suffix("") for p in f32s[:5]):
@@ -105,10 +161,11 @@ class TestPipeline:
             {"n_estimators": 0},
             {"n_estimators": 6, "max_depth": 3, "min_data_in_leaf": 2},
         ]))
-        out = pipeline_dir / "gs"
-        assert run("gridsearch", "--features", pipeline_dir / "features_train.csv",
-                   "--grid", grid, "--model", "gbdt", "--folds", 3,
-                   "--out-dir", out) == 0
+        features, out = pipeline_dir / "features_train.csv", pipeline_dir / "gs"
+        run_stage(pipeline_dir, ["gridsearch", "--features", features, "--grid", grid,
+                                 "--model", "gbdt", "--folds", 3, "--out-dir", out],
+                  [features, grid], [out / "results.csv"],
+                  "gridsearch: best combination #1 (mean macro F1 1.0000)\n")
         best = json.loads((out / "best_params.json").read_text())
         assert best["n_estimators"] == 6
         lines = (out / "results.csv").read_text().splitlines()
@@ -227,6 +284,17 @@ class TestErrors:
                    "--out", tmp_path / "f.csv")
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_failed_stage_leaves_no_manifest(self, tmp_path, capsys, pipeline_dir):
+        # the train file is written, then the test file cannot be
+        (tmp_path / "f_test.csv").mkdir()
+        code = run("featurize", "--beats", pipeline_dir / "pre" / "beats.csv",
+                   "--test-fraction", "0.2", "--out", tmp_path / "f.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (tmp_path / "f_train.csv").exists()
+        assert not (tmp_path / "f_train.csv.manifest.json").exists()
 
     def test_bad_flag_value_is_validation_error(self, tmp_path):
         assert run("synth", "--out-dir", tmp_path, "--n-beats", 0) == 1
