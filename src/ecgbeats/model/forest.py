@@ -3,9 +3,10 @@
 Each tree trains on a bootstrap sample of the same size as the input (drawn
 with replacement), leaves store raw class-count histograms, and prediction
 averages the normalized histograms over trees. Training is serial and all
-draws come from one seeded PCG64 stream, so fits are reproducible. A fit
-sorts each feature once; a tree grows with ``tree.grow`` over its in-bag rows,
-each weighted by its bootstrap count. Counts are integers, so the trees equal
+draws come from one seeded PCG64 stream, so fits are reproducible. A tree
+grows with ``tree.grow`` over its in-bag rows, each weighted by its bootstrap
+count, on the fit's one ``tree.presort``: unstable (~3x faster), as the scan
+takes no cut between tied values. Counts are integers, so the trees equal
 those of a per-node sort of the bootstrap sample bit for bit.
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from ..errors import int_at_least, validate
 from .ensemble import EnsembleModel, check_training_data
-from .tree import Tree, _keep, grow
+from .tree import Tree, _keep, grow, presort
 
 
 @dataclass
@@ -45,8 +46,8 @@ def _best_gini_split(x, wy, order, counts, min_leaf, feats):
     bootstrap count in its class's row, counts the node's class counts.
     Minimizing n_L*gini_L + n_R*gini_R is equivalent to maximizing
     sum_c c_L^2 / n_L + sum_c c_R^2 / n_R; a split is accepted only when it
-    strictly beats the unsplit node. Tie-breaking matches the boosted trees:
-    lowest feature index, then lowest threshold.
+    strictly beats the unsplit node. The cut is the first maximum of the
+    (feature, position) scores: lowest feature index, then lowest threshold.
     """
     n = counts.sum()
     if n < 2 * min_leaf:
@@ -67,11 +68,9 @@ def _best_gini_split(x, wy, order, counts, min_leaf, feats):
     score[~valid] = -np.inf
 
     parent_score = float((counts ** 2).sum() / n)
-    per_feature = score.max(axis=1)
-    col = int(np.argmax(per_feature))
-    if not np.isfinite(per_feature[col]) or per_feature[col] <= parent_score:
+    col, pos = divmod(int(np.argmax(score)), score.shape[1])
+    if not np.isfinite(score[col, pos]) or score[col, pos] <= parent_score:
         return None
-    pos = int(np.argmax(score[col]))
     return int(feats[col]), float(0.5 * (xs[col, pos] + xs[col, pos + 1]))
 
 
@@ -100,11 +99,7 @@ def fit_random_forest(rows, labels, params: RfParams = RfParams(),
     x, y, k = check_training_data(rows, labels, n_classes)
     rng = np.random.default_rng(params.seed)
     n = x.shape[0]
-    # the fit's one sort, per column into int32 to halve its bytes; unstable
-    # (~3x faster), as a scan reads counts only at cuts between distinct values
-    order = np.empty(x.shape[::-1], dtype=np.int32)
-    for f in range(x.shape[1]):
-        order[f] = np.argsort(x[:, f])
+    order = presort(x, stable=False)
     trees = []
     for _ in range(params.n_trees):
         weights = np.bincount(rng.integers(0, n, size=n), minlength=n)

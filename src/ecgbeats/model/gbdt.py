@@ -12,7 +12,7 @@ and leaf values are L1-soft-thresholded Newton steps scaled by the learning
 rate. Trees grow depth-wise; no histogram binning, no feature subsampling.
 
 The scan is presorted, as in the exact greedy algorithm of XGBoost (Chen &
-Guestrin, KDD 2016): a fit runs one stable argsort of every feature column,
+Guestrin, KDD 2016): a fit's one sort is ``tree.presort``, stable, into int32,
 and ``tree.grow`` hands each node its rows in ascending value order (ties to
 the lower row id) with their values, so no node sorts. Prefix sums and gains
 are evaluated only at the positions that leave min_data_in_leaf rows on each
@@ -48,7 +48,7 @@ import numpy as np
 
 from ..errors import int_at_least, real_above, real_at_least, validate
 from .ensemble import EnsembleModel, check_training_data, softmax
-from .tree import Tree, grow
+from .tree import grow, presort
 
 
 @dataclass
@@ -95,10 +95,10 @@ def _best_split(order, xs, g, h, g_total, h_total, lam, min_leaf):
 
     order (F, n) holds the node's row ids sorted by each feature and xs (F, n)
     the matching values. Candidates are midpoints of consecutive distinct
-    sorted values with at least min_leaf rows on either side. Ties resolve to
-    the lowest feature index, then the lowest threshold: argmax returns the
-    first maximum, features are scanned in index order and rows in ascending
-    threshold order.
+    sorted values with at least min_leaf rows on either side. The cut is the
+    first maximum of the (feature, position) gains, one argmax per block of
+    features and one over the blocks: lowest feature index, then lowest
+    threshold. A NaN gain ranks first, as argmax ranks it, and is refused.
     """
     n = order.shape[1]
     if n < 2 * min_leaf:
@@ -108,11 +108,9 @@ def _best_split(order, xs, g, h, g_total, h_total, lam, min_leaf):
 
     # position p splits off the first p + 1 sorted rows; legal p: lo <= p < hi
     lo, hi = min_leaf - 1, n - min_leaf
-    n_features = order.shape[0]
-    best = np.empty(n_features)                 # per feature: its best gain
-    at = np.empty(n_features, dtype=np.intp)    # and that gain's first position
+    tops = []                       # per block: its first maximum (gain, feature, p)
     step = max(1, _BLOCK // hi)
-    for f in range(0, n_features, step):
+    for f in range(0, order.shape[0], step):
         rows = order[f:f + step, :hi]
         gl, hl = g.take(rows), h.take(rows)
         np.cumsum(gl, axis=1, out=gl)
@@ -126,14 +124,12 @@ def _best_split(order, xs, g, h, g_total, h_total, lam, min_leaf):
         gains += _gain_term(gr, hr)
         gains -= parent
         gains[xs[f:f + step, lo + 1:hi + 1] <= xs[f:f + step, lo:hi]] = -np.inf
-        at[f:f + step] = gains.argmax(axis=1)
-        best[f:f + step] = np.take_along_axis(gains, at[f:f + step, None], axis=1)[:, 0]
+        row, at = divmod(int(gains.argmax()), hi - lo)
+        tops.append((gains[row, at], f + row, lo + at))
 
-    feature = int(np.argmax(best))
-    gain = best[feature]
+    gain, feature, pos = tops[int(np.argmax([top[0] for top in tops]))]
     if not np.isfinite(gain) or gain <= 0.0:
         return None
-    pos = lo + int(at[feature])
     return feature, float(0.5 * (xs[feature, pos] + xs[feature, pos + 1]))
 
 
@@ -212,8 +208,7 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
     from concurrent.futures import ProcessPoolExecutor
 
     x, y, k = check_training_data(rows, labels, n_classes)
-    # the one sort of the fit; ties keep the lower row id first
-    order = np.argsort(x.T, axis=1, kind="stable")
+    order = presort(x, stable=True)     # ties keep the lower row id first
     xs = np.take_along_axis(x.T, order, axis=1)
     scores = np.zeros((x.shape[0], k))
     probs = softmax(scores)

@@ -5,8 +5,9 @@ everywhere: a row goes left iff row[feature] <= threshold. Every node has one
 payload in ``value``: a regression tree (GBDT) holds a (n_nodes,) float64
 leaf score, a classification tree (random forest) a (n_nodes, K) int64
 training-count histogram. Split nodes hold a zero payload. A tree predicts
-``tree.value[tree.apply(x)]``. ``grow`` owns the node list, the routing and
-the presort each node carries; an ensemble supplies its split rule and payload.
+``tree.value[tree.apply(x)]``. Both ensembles share ``presort``, a fit's one
+sort, and ``grow``, which owns the node list, the routing and the presort
+each node carries; an ensemble supplies its split rule and payload.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ class Tree:
             rows = node[active]
             go_left = x[active, feat[active]] <= self.threshold[rows]
             node[active] = np.where(go_left, self.left[rows], self.right[rows])
+
+
+def presort(x, stable: bool) -> np.ndarray:
+    """A fit's (F, N) int32 row order: row f lists x's rows by ascending x[:, f],
+    ties by row id if stable. One column at a time: no (F, N) int64 is made."""
+    order = np.empty(x.shape[::-1], dtype=np.int32)
+    for f in range(x.shape[1]):
+        order[f] = np.argsort(x[:, f], kind="stable" if stable else None)
+    return order
 
 
 def _keep(sorted_, mask):

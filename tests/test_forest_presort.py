@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from ecgbeats.model import RfParams, fit_random_forest, forest, save_model
 from ecgbeats.model.ensemble import EnsembleModel
-from ecgbeats.model.tree import LEAF, Tree, grow
+from ecgbeats.model.tree import LEAF, Tree, grow, presort
 
 
 def _best_gini_split(x_node, y_node, n_classes, min_leaf, feats):
@@ -145,6 +145,31 @@ def tie_heavy_problems(draw):
 @given(tie_heavy_problems())
 def test_trees_equal_per_node_sort_oracle(problem):
     assert_same_fit(*problem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_problems())
+def test_unstable_presort_sorts_each_column(problem):
+    x = problem[0]
+    order = presort(x, stable=False)
+    assert order.dtype == np.int32 and order.shape == x.shape[::-1]
+    for f, rows in enumerate(order):
+        np.testing.assert_array_equal(np.sort(rows), np.arange(x.shape[0]))
+        assert np.all(np.diff(x[rows, f]) >= 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_problems())
+def test_stable_presort_saves_the_same_bytes(problem):
+    # the forest sorts unstable: tied rows may come in any order, as its scan
+    # takes no cut between equal values
+    x, y, params = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forest, "grow", bounded_grow)
+        want = saved_bytes(fit_random_forest(x, y, params, n_classes=3))
+        mp.setattr(forest, "presort", lambda x, stable: presort(x, stable=True))
+        got = saved_bytes(fit_random_forest(x, y, params, n_classes=3))
+    assert got == want
 
 
 def test_deep_trees_equal_oracle():

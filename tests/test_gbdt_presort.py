@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from ecgbeats.model import GbdtParams, fit_gbdt, gbdt, save_model
 from ecgbeats.model.ensemble import EnsembleModel, check_training_data, softmax
-from ecgbeats.model.tree import LEAF, Tree
+from ecgbeats.model.tree import LEAF, Tree, presort
 
 
 def _gain_term(g_sum, den):
@@ -192,6 +193,30 @@ def test_saved_model_bytes_pinned(tmp_path):
     assert digest == PINNED_MODEL_SHA256
 
 
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_problems())
+def test_stable_presort_is_the_stable_argsort_in_int32(problem):
+    x = problem[0]
+    order = presort(x, stable=True)
+    assert order.dtype == np.int32
+    np.testing.assert_array_equal(order, np.argsort(x.T, axis=1, kind="stable"))
+
+
+@pytest.mark.parametrize("stable", [True, False])
+def test_presort_holds_one_int32_order(stable):
+    # a column at a time: the (F, N) int32 order and a few (N,) buffers, where
+    # a sort of all columns at once makes an (F, N) int64 array
+    x = np.round(np.random.default_rng(4).normal(size=(20_000, 76)), 2)
+    n, f = x.shape
+    tracemalloc.start()
+    try:
+        presort(x, stable)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f * n * 4 + 4 * n * 8
+
+
 @st.composite
 def one_class_tree(draw):
     """Rounded features with ties, and the derivatives of one class at
@@ -214,7 +239,7 @@ def one_class_tree(draw):
 def test_step_is_each_rows_leaf_value(problem):
     # the scores fit_gbdt adds equal the tree's own routing of the training rows
     x, g, h, params = problem
-    order = np.argsort(x.T, axis=1, kind="stable")
+    order = presort(x, stable=True)
     xs = np.take_along_axis(x.T, order, axis=1)
     tree, step = gbdt._build_tree(x, order, xs, g, h, params)
     routed = tree.value[tree.apply(x)]
@@ -225,7 +250,7 @@ def test_step_is_each_rows_leaf_value(problem):
 def serial_fit(x, y, params, k):
     """fit_gbdt's loop on one thread: _build_tree class by class, in order."""
     x, y, k = check_training_data(x, y, k)
-    order = np.argsort(x.T, axis=1, kind="stable")
+    order = presort(x, stable=True)
     xs = np.take_along_axis(x.T, order, axis=1)
     onehot = np.eye(k)[y]
     scores = np.zeros((x.shape[0], k))
