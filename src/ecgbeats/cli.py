@@ -20,7 +20,6 @@ an allocation the machine refuses (MemoryError).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -90,7 +89,7 @@ def _read_json(path, error=ValidationError):
     try:
         with open(path, "rb") as fh:
             return json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:   # RecursionError: nested too deeply
         raise error(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -249,10 +248,8 @@ def cmd_encode(args) -> tuple:
         images = encode_beat(beats.samples[start:start + ENCODE_CHUNK], cfg)
         for stem, image in zip(stems[start:], images):
             record_io.export_image(image, out / stem)
-    with open(out / "index.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stem", "label"])
-        writer.writerows(zip(stems, beats.label.tolist()))
+    record_io.write_table(out / "index.csv", ["stem", "label"],
+                          zip(stems, beats.label.tolist()))
     return inputs, [out / "index.csv"], f"encode: wrote {len(beats)} images to {out}"
 
 
@@ -285,8 +282,7 @@ def cmd_evaluate(args) -> tuple:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metrics_mod.write_metrics_csv(out / "metrics.csv", [report])
-    with open(out / "confusion.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(cm.tolist())
+    record_io.write_table(out / "confusion.csv", None, cm.tolist())
     return inputs, [out / "metrics.csv"], metrics_mod.format_report([report])
 
 
@@ -313,13 +309,10 @@ def cmd_gridsearch(args) -> tuple:
                                 n_classes=len(label_set))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "results.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "params", "mean_macro_f1", "fold_f1"])
-        for r in results:
-            writer.writerow([r.index, json.dumps(raw_grid[r.index], sort_keys=True),
-                             f"{r.mean_f1:.6f}",
-                             " ".join(f"{s:.6f}" for s in r.fold_f1)])
+    record_io.write_table(out / "results.csv", ["index", "params", "mean_macro_f1", "fold_f1"],
+                          ([r.index, json.dumps(raw_grid[r.index], sort_keys=True),
+                            f"{r.mean_f1:.6f}", " ".join(f"{s:.6f}" for s in r.fold_f1)]
+                           for r in results))
     best_index = next(r.index for r in results if r.params is best)
     _write_json(out / "best_params.json", raw_grid[best_index])
     return inputs, [out / "results.csv"], (

@@ -1,14 +1,13 @@
-"""Confusion matrix and macro-averaged precision / recall / F1 / accuracy."""
+"""Confusion matrix, macro-averaged precision / recall / accuracy / F1, metrics CSV."""
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .record_io import csv_rows, parse_number
+from .record_io import csv_rows, parse_number, write_table
 
 METRICS_HEADER = ["model", "precision", "recall", "accuracy", "f1"]
 
@@ -58,34 +57,32 @@ def macro_metrics(cm: np.ndarray) -> tuple:
 
 @dataclass
 class ModelReport:
+    """One model's macro metrics, in METRICS_HEADER's column order."""
+
     name: str
     precision: float
     recall: float
-    f1: float
     accuracy: float
+    f1: float
+
+
+def _row(report, digits: int) -> list:
+    """The report as METRICS_HEADER orders it, each metric to ``digits`` decimals."""
+    name, *values = astuple(report)
+    return [name, *(f"{value:.{digits}f}" for value in values)]
 
 
 def format_report(reports) -> str:
     """Aligned text table with the four macro metric columns."""
-    header = ("Model", "Precision", "Recall", "Accuracy", "F1 score")
-    rows = [(r.name, f"{r.precision:.4f}", f"{r.recall:.4f}",
-             f"{r.accuracy:.4f}", f"{r.f1:.4f}") for r in reports]
-    widths = [max(len(header[c]), *(len(row[c]) for row in rows)) if rows else len(header[c])
-              for c in range(5)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines)
+    header = [{"f1": "F1 score"}.get(c, c.capitalize()) for c in METRICS_HEADER]
+    rows = [_row(r, 4) for r in reports]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    table = [header, ["-" * w for w in widths], *rows]
+    return "\n".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in table)
 
 
 def write_metrics_csv(path, reports) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for r in reports:
-            writer.writerow([r.name, f"{r.precision:.6f}", f"{r.recall:.6f}",
-                             f"{r.accuracy:.6f}", f"{r.f1:.6f}"])
+    write_table(path, METRICS_HEADER, (_row(r, 6) for r in reports))
 
 
 def read_metrics_csv(path):
@@ -106,7 +103,5 @@ def read_metrics_csv(path):
         for token, value in zip(row[1:], values):
             if value is None or not 0 <= value <= 1:
                 raise ParseError(path, line_no, f"metric {token!r} is not a number in [0, 1]")
-        precision, recall, accuracy, f1 = values
-        reports.append(ModelReport(name=row[0], precision=precision, recall=recall,
-                                   f1=f1, accuracy=accuracy))
+        reports.append(ModelReport(row[0], *values))
     return reports

@@ -182,17 +182,6 @@ def _grow_served(cls: int, p) -> tuple:
     return _grow(_served, cls, p)
 
 
-def _pooled_round(pool, probs, r: int) -> list:
-    """Round r's K (tree, step) pairs from the pool's workers, in class order."""
-    from concurrent.futures import BrokenExecutor
-
-    try:
-        return list(pool.map(_grow_served, range(probs.shape[1]), probs.T))
-    except BrokenExecutor:
-        raise OSError(f"GBDT worker process died in round {r + 1} "
-                      "(killed, or out of memory)") from None
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -205,7 +194,7 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
     """Fit the boosted ensemble; scores start at 0 for every class."""
     # imported here: at module level they would add to every CLI stage's start-up
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     x, y, k = check_training_data(rows, labels, n_classes)
     order = presort(x, stable=True)     # ties keep the lower row id first
@@ -226,7 +215,11 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
             if in_process:
                 grown = [_grow(fit, cls, p) for cls, p in enumerate(probs.T)]
             else:
-                grown = _pooled_round(pool, probs, r)
+                try:
+                    grown = list(pool.map(_grow_served, range(k), probs.T))
+                except BrokenExecutor:
+                    raise OSError(f"GBDT worker process died in round {r + 1} "
+                                  "(killed, or out of memory)") from None
             for cls, (tree, step) in enumerate(grown):
                 trees.append(tree)
                 scores[:, cls] += step

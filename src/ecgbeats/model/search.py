@@ -1,9 +1,10 @@
 """Grid search over stratified K-fold cross-validation, scored by macro F1.
 
-Folds are stratified per class: each class's indices are shuffled with the
-seeded generator and dealt round-robin, so fold class counts stay within one
-sample of proportional. When a balance plan is given it is applied to the
-training split of each fold only; validation folds are never resampled.
+Folds and the train/test split are stratified per class: ``_class_shuffles``
+shuffles each class's indices with one seeded generator. Folds deal them
+round-robin, so fold class counts stay within one sample of proportional.
+When a balance plan is given it is applied to the training split of each
+fold only; validation folds are never resampled.
 """
 
 from __future__ import annotations
@@ -18,19 +19,25 @@ from ..metrics import confusion_matrix, macro_metrics
 from .ensemble import predict_batch
 
 
+def _class_shuffles(y, seed: int):
+    """Yield (class, its indices shuffled) per class, ascending, from one generator."""
+    rng = np.random.default_rng(seed)
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        rng.shuffle(idx)
+        yield cls, idx
+
+
 def stratified_kfold(labels, folds: int, seed: int = 0) -> list:
     """Index arrays for each fold, class-stratified within one sample."""
     y = np.asarray(labels, dtype=int)
     validate([int_at_least("folds", folds, 2), int_at_least("seed", seed, 0)])
-    rng = np.random.default_rng(seed)
     assignments = [[] for _ in range(folds)]
-    for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
+    for cls, idx in _class_shuffles(y, seed):
         if idx.shape[0] < folds:
             raise ValidationError(
                 f"class {cls} has {idx.shape[0]} samples; needs >= {folds}"
             )
-        rng.shuffle(idx)
         for pos, sample in enumerate(idx):
             assignments[pos % folds].append(sample)
     return [np.sort(np.asarray(fold, dtype=int)) for fold in assignments]
@@ -48,11 +55,8 @@ def stratified_split(labels, test_fraction: float, seed: int = 0):
          f"test_fraction must be in (0, 1), got {test_fraction!r}"),
         int_at_least("seed", seed, 0),
     ])
-    rng = np.random.default_rng(seed)
     train, test = [], []
-    for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
-        rng.shuffle(idx)
+    for _, idx in _class_shuffles(y, seed):
         n_test = int(round(test_fraction * idx.shape[0]))
         test.extend(idx[:n_test])
         train.extend(idx[n_test:])

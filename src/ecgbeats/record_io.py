@@ -243,6 +243,16 @@ def parse_number(token: str, kind=float):
         return None
 
 
+def write_table(path, header, rows) -> None:
+    """Write ``rows``, after ``header`` unless it is None, as CSV in the csv
+    module's default dialect: minimal quoting and ``\\r\\n`` line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
 def csv_rows(path):
     """Yield ``(line_no, fields)`` for each row of a UTF-8 CSV file; a blank
     line is an empty row. An undecodable byte, or a row the csv module refuses
@@ -304,10 +314,8 @@ def write_signal_csv(path, samples: np.ndarray) -> None:
 
 
 def write_annotations_csv(path, rpeaks, labels) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "label"])
-        writer.writerows(zip(np.asarray(rpeaks, dtype=int).tolist(), labels))
+    write_table(path, ["sample_index", "label"],
+                zip(np.asarray(rpeaks, dtype=int).tolist(), labels))
 
 
 def load_record(signal_path, annotation_path, fs: float, lead_select: int = 0) -> EcgRecord:

@@ -171,6 +171,51 @@ class TestPipeline:
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 combinations
 
+    def test_tables_match_pinned_bytes(self, pipeline_dir):
+        # the CSV tables the stages write: minimal quoting, \r\n line ends
+        features, test = pipeline_dir / "features_train.csv", pipeline_dir / "features_test.csv"
+        out = pipeline_dir / "tables"
+        out.mkdir()
+        grid, grid_rf = out / "grid.json", out / "grid_rf.json"
+        grid.write_text(json.dumps([
+            {"n_estimators": 0},
+            {"n_estimators": 6, "max_depth": 3, "min_data_in_leaf": 2},
+        ]))
+        grid_rf.write_text(json.dumps([{"n_trees": 2, "max_depth": 2},
+                                       {"n_trees": 3, "seed": 4, "min_samples_leaf": 3}]))
+        assert run("train", "--features", features, "--out", out / "model.txt",
+                   "--n-estimators", 8, "--max-depth", 3, "--min-data-in-leaf", 2) == 0
+        assert run("train", "--features", features, "--out", out / "rf.txt",
+                   "--model", "rf", "--n-trees", 3, "--seed", 2) == 0
+        assert run("evaluate", "--model-file", out / "model.txt", "--features", test,
+                   "--out-dir", out / "eval", "--name", "gbdt-small") == 0
+        assert run("evaluate", "--model-file", out / "rf.txt", "--features", test,
+                   "--out-dir", out / "eval_rf") == 0
+        assert run("gridsearch", "--features", features, "--grid", grid, "--folds", 3,
+                   "--out-dir", out / "gs") == 0
+        assert run("gridsearch", "--model", "rf", "--features", features, "--grid", grid_rf,
+                   "--folds", 2, "--targets", "N=20,S=30,V=30", "--k-neighbors", 3,
+                   "--seed", 5, "--out-dir", out / "gs_rf") == 0
+        assert {name: (out / name).read_bytes() for name in PINNED_TABLES} == PINNED_TABLES
+
+
+PINNED_TABLES = {
+    "eval/metrics.csv": b"model,precision,recall,accuracy,f1\r\n"
+                        b"gbdt-small,1.000000,1.000000,1.000000,1.000000\r\n",
+    "eval/confusion.csv": b"6,0,0\r\n0,6,0\r\n0,0,6\r\n",
+    "eval_rf/metrics.csv": b"model,precision,recall,accuracy,f1\r\n"
+                           b"rf,1.000000,1.000000,1.000000,1.000000\r\n",
+    "eval_rf/confusion.csv": b"6,0,0\r\n0,6,0\r\n0,0,6\r\n",
+    "gs/results.csv": b'index,params,mean_macro_f1,fold_f1\r\n'
+                      b'0,"{""n_estimators"": 0}",0.166667,0.166667 0.166667 0.166667\r\n'
+                      b'1,"{""max_depth"": 3, ""min_data_in_leaf"": 2, ""n_estimators"": 6}",'
+                      b'1.000000,1.000000 1.000000 1.000000\r\n',
+    "gs_rf/results.csv": b'index,params,mean_macro_f1,fold_f1\r\n'
+                         b'0,"{""max_depth"": 2, ""n_trees"": 2}",0.928944,0.885714 0.972174\r\n'
+                         b'1,"{""min_samples_leaf"": 3, ""n_trees"": 3, ""seed"": 4}",'
+                         b'0.986087,0.972174 1.000000\r\n',
+}
+
 
 def _record_fits(monkeypatch, name):
     """Wrap ``ecgbeats.cli.<name>`` so each fit's params are recorded."""
@@ -618,6 +663,21 @@ class TestErrors:
                    "--grid", grid, "--out-dir", tmp_path / "gs")
         assert code == 1
         assert "grid.json: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, code", [("config", 1), ("grid", 1), ("record_meta", 2)])
+    def test_deeply_nested_json_is_one_error_line(self, tmp_path, capsys, pipeline_dir,
+                                                  target, code):
+        deep, out = tmp_path / f"{target}.json", tmp_path / "out"
+        deep.write_text("[" * 200_000)   # past the JSON decoder's recursion limit
+        argv = {"config": ["--config", deep, "synth", "--out-dir", out],
+                "grid": ["gridsearch", "--features", pipeline_dir / "features_train.csv",
+                         "--grid", deep, "--out-dir", out],
+                "record_meta": ["featurize", "--beats", pipeline_dir / "pre" / "beats.csv",
+                                "--meta", deep, "--out", out / "f.csv"]}[target]
+        assert run(*argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {deep}: not valid JSON (")
+        assert not out.exists()
 
     @pytest.mark.parametrize("meta", ['{"hrv_mean": 0.8', "[1, 2, 3]",
                                       '{"hrv_mean": 0.8, "hrv_median": 0.8}',

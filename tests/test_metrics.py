@@ -114,3 +114,15 @@ class TestReport:
         loaded = read_metrics_csv(path)
         assert [r.name for r in loaded] == ["gbdt", "rf"]
         assert loaded[0].f1 == pytest.approx(0.9401)
+
+    def test_columns_follow_the_header(self, tmp_path):
+        # four distinct metrics, so a column written or read out of place shows
+        report = ModelReport(name="gbdt", precision=0.25, recall=0.5, accuracy=0.75, f1=0.125)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, [report])
+        assert path.read_bytes() == (b"model,precision,recall,accuracy,f1\r\n"
+                                     b"gbdt,0.250000,0.500000,0.750000,0.125000\r\n")
+        assert read_metrics_csv(path) == [report]
+        assert format_report([report]).splitlines()[::2] == [
+            "Model  Precision  Recall  Accuracy  F1 score",
+            "gbdt   0.2500     0.5000  0.7500    0.1250  "]

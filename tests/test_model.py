@@ -9,6 +9,7 @@ from ecgbeats.model import (GbdtParams, RfParams, fit_gbdt,
                             predict_batch, predict_proba, save_model,
                             stratified_kfold)
 from ecgbeats.model.ensemble import softmax
+from ecgbeats.model.search import stratified_split
 
 
 def blobs(n_per_class=50, centers=((0, 0), (4, 0), (0, 4)), spread=0.3, seed=0):
@@ -468,6 +469,15 @@ class TestGridSearch:
             counts = np.bincount(labels[fold], minlength=3)
             for cls, total in ((0, 10), (1, 7), (2, 5)):
                 assert abs(counts[cls] - total / 3) <= 1.0
+
+    def test_stratified_indices_pinned(self):
+        # both draw every class's shuffle, in class order, from one seeded generator
+        labels = np.array([2, 0, 1, 0, 0, 2, 1, 0, 1, 2, 0, 0, 1, 2, 0, 1, 0, 2, 0, 1])
+        train, test = stratified_split(labels, 0.3, seed=3)
+        assert train.tolist() == [0, 3, 5, 6, 7, 8, 9, 10, 11, 12, 14, 15, 18]
+        assert test.tolist() == [1, 2, 4, 13, 16, 17, 19]
+        assert [fold.tolist() for fold in stratified_kfold(labels, 3, seed=4)] == [
+            [0, 1, 2, 7, 13, 18, 19], [3, 5, 6, 8, 10, 14, 17], [4, 9, 11, 12, 15, 16]]
 
     def test_class_smaller_than_folds_rejected(self):
         labels = np.array([0, 0, 0, 1])
