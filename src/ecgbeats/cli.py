@@ -275,10 +275,7 @@ def cmd_evaluate(args) -> tuple:
         raise DataError(f"{args.features}: no feature rows to evaluate")
     pred, _ = predict_batch(model, rows)
     cm = metrics_mod.confusion_matrix(labels, pred, model.n_classes)
-    precision, recall, f1, accuracy = metrics_mod.macro_metrics(cm)
-    report = metrics_mod.ModelReport(name=args.name or model.kind,
-                                     precision=precision, recall=recall,
-                                     f1=f1, accuracy=accuracy)
+    report = metrics_mod.ModelReport(args.name or model.kind, *metrics_mod.macro_metrics(cm))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metrics_mod.write_metrics_csv(out / "metrics.csv", [report])

@@ -34,7 +34,8 @@ def confusion_matrix(y_true, y_pred, n_classes: int) -> np.ndarray:
 
 
 def macro_metrics(cm: np.ndarray) -> tuple:
-    """(precision, recall, f1, accuracy), macro-averaged over classes.
+    """(precision, recall, accuracy, f1), macro-averaged over classes, in
+    METRICS_HEADER's order.
 
     A class with neither actual nor predicted positives contributes 0 to
     every macro average (conservative zero-division convention).
@@ -52,7 +53,7 @@ def macro_metrics(cm: np.ndarray) -> tuple:
         pr = precision + recall
         f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
     accuracy = tp.sum() / total
-    return float(precision.mean()), float(recall.mean()), float(f1.mean()), float(accuracy)
+    return float(precision.mean()), float(recall.mean()), float(accuracy), float(f1.mean())
 
 
 @dataclass

@@ -5,9 +5,12 @@ with replacement), leaves store raw class-count histograms, and prediction
 averages the normalized histograms over trees. Training is serial and all
 draws come from one seeded PCG64 stream, so fits are reproducible. A tree
 grows with ``tree.grow`` over its in-bag rows, each weighted by its bootstrap
-count, on the fit's one ``tree.presort``: unstable (~3x faster), as the scan
-takes no cut between tied values. Counts are integers, so the trees equal
-those of a per-node sort of the bootstrap sample bit for bit.
+count, on the fit's one ``tree.presort`` of every column (the per-node
+feature draw spans them all): unstable (~3x faster), as the scan takes no cut
+between tied values. A node scans its drawn features' rows in that order and
+reads their values from x only through ``tree.first_cut``. Counts are
+integers, so the trees equal those of a per-node sort of the bootstrap sample
+bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from ..errors import int_at_least, validate
 from .ensemble import EnsembleModel, check_training_data
-from .tree import Tree, _keep, grow, presort
+from .tree import Tree, _keep, first_cut, grow, presort
 
 
 @dataclass
@@ -53,7 +56,6 @@ def _best_gini_split(x, wy, order, counts, min_leaf, feats):
     if n < 2 * min_leaf:
         return None
     rows = order[feats]                  # (k, m); a node that is not pure has m >= 2
-    xs = x[rows, feats[:, None]]
     cuts = rows[:, :-1]                  # a cut after each but the last row
     n_left = left_sq = right_sq = 0
     # one class at a time: a (K, k, m) block summed over K is ~3x slower
@@ -64,14 +66,14 @@ def _best_gini_split(x, wy, order, counts, min_leaf, feats):
         right_sq = right_sq + (total - left) ** 2
     n_right = n - n_left
     score = left_sq / n_left + right_sq / n_right
-    valid = (xs[:, 1:] > xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    score[~valid] = -np.inf
+    if min_leaf > 1:                     # else each in-bag row weighs >= 1 on either side
+        score[(n_left < min_leaf) | (n_right < min_leaf)] = -np.inf
 
     parent_score = float((counts ** 2).sum() / n)
-    col, pos = divmod(int(np.argmax(score)), score.shape[1])
+    col, pos, threshold = first_cut(score, rows, feats, x)
     if not np.isfinite(score[col, pos]) or score[col, pos] <= parent_score:
         return None
-    return int(feats[col]), float(0.5 * (xs[col, pos] + xs[col, pos + 1]))
+    return int(feats[col]), threshold
 
 
 def _build_tree(x, y, weights, order, n_classes, params: RfParams, rng) -> Tree:
@@ -80,18 +82,18 @@ def _build_tree(x, y, weights, order, n_classes, params: RfParams, rng) -> Tree:
     k_feats = min(params.features_per_split or max(1, round(np.sqrt(n_features))), n_features)
     wy = (y == np.arange(n_classes)[:, None]) * weights
 
-    def decide(idx, sorted_, depth):
+    def decide(idx, order, depth):
         counts = wy[:, idx].sum(axis=1)
         pure = np.count_nonzero(counts) <= 1
         if not pure and (params.max_depth is None or depth < params.max_depth):
             feats = np.sort(rng.choice(n_features, size=k_feats, replace=False))
-            split = _best_gini_split(x, wy, sorted_[0], counts, params.min_samples_leaf, feats)
+            split = _best_gini_split(x, wy, order, counts, params.min_samples_leaf, feats)
             if split is not None:
                 return split, np.zeros_like(counts)
         return None, counts
 
     in_bag = weights > 0
-    return grow(x, np.flatnonzero(in_bag), _keep((order,), in_bag[order]), decide)
+    return grow(x, np.flatnonzero(in_bag), _keep(order, in_bag[order]), decide)
 
 
 def fit_random_forest(rows, labels, params: RfParams = RfParams(),

@@ -13,12 +13,19 @@ rate. Trees grow depth-wise; no histogram binning, no feature subsampling.
 
 The scan is presorted, as in the exact greedy algorithm of XGBoost (Chen &
 Guestrin, KDD 2016): a fit's one sort is ``tree.presort``, stable, into int32,
-and ``tree.grow`` hands each node its rows in ascending value order (ties to
-the lower row id) with their values, so no node sorts. Prefix sums and gains
-are evaluated only at the positions that leave min_data_in_leaf rows on each
+of the columns with more than one value (a single-valued column has no cut;
+split features keep x's column ids), and ``tree.grow`` hands each node that
+one row order, filtered to its rows in ascending value order (ties to the
+lower row id), so no node sorts. Each tree packs the derivatives as one
+complex column c = h + ig, so a block of features is one gather and one
+cumsum of (H_L, G_L); a complex add is the two real adds, in the same order,
+so every prefix sum and gain keeps its bits. Prefix sums and gains are
+evaluated only at the positions that leave min_data_in_leaf rows on each
 side, a block of features at a time in buffers formed in place, so the
-scan's memory is bounded whatever the node's size. Node totals are summed
-over the node's rows in ascending row order, so the trees equal those of a
+scan's memory is bounded whatever the node's size. Feature values are read
+from x only at the block's first maximum, and for a whole feature only when
+that maximum lands on a tie (``tree.first_cut``). Node totals are summed over
+the node's rows in ascending row order, so the trees equal those of a
 per-node stable sort bit for bit, and fits are deterministic given the input
 order, so models are byte-reproducible.
 
@@ -48,7 +55,7 @@ import numpy as np
 
 from ..errors import int_at_least, real_above, real_at_least, validate
 from .ensemble import EnsembleModel, check_training_data, softmax
-from .tree import grow, presort
+from .tree import first_cut, grow, presort
 
 
 @dataclass
@@ -73,64 +80,62 @@ class GbdtParams:
         ])
 
 
-def _gain_term(g_sum: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """G^2 / den in place over g_sum, with 0 where den <= 0 (reachable when
-    lambda is 0, or when H - H_L rounds below -lambda)."""
-    # an unmasked divide then a fix-up: a where= mask makes the divide ~5x slower
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(g_sum, g_sum, out=g_sum)
-        np.divide(g_sum, den, out=g_sum)
-    if den.min() <= 0:
-        g_sum[~(den > 0)] = 0.0
-    return g_sum
+# complex scan entries per block of features: the block's (features,
+# positions) buffers, 256 KB of sums and 128 KB per float part, stay in cache,
+# and the scan's memory does not grow with the node
+_BLOCK = 1 << 14
 
 
-# scan entries per block of features: the block's four (features, positions)
-# buffers stay in cache, and the scan's memory does not grow with the node
-_BLOCK = 1 << 15
-
-
-def _best_split(order, xs, g, h, g_total, h_total, lam, min_leaf):
+def _best_split(x, order, features, c, g_total, h_total, lam, min_leaf):
     """Best (feature, threshold) for one node, or None.
 
-    order (F, n) holds the node's row ids sorted by each feature and xs (F, n)
-    the matching values. Candidates are midpoints of consecutive distinct
-    sorted values with at least min_leaf rows on either side. The cut is the
-    first maximum of the (feature, position) gains, one argmax per block of
-    features and one over the blocks: lowest feature index, then lowest
-    threshold. A NaN gain ranks first, as argmax ranks it, and is refused.
+    order (F, n) holds the node's row ids sorted by each of x's columns
+    ``features``, and c = h + ig each row's derivatives. Candidates are
+    midpoints of consecutive distinct sorted values with at least min_leaf rows
+    on either side. The cut is the first maximum of the (feature, position)
+    gains, one ``tree.first_cut`` per block of features and one argmax over the
+    blocks: lowest feature index, then lowest threshold. A NaN gain ranks
+    first, as argmax ranks it, and is refused.
     """
     n = order.shape[1]
-    if n < 2 * min_leaf:
+    if n < 2 * min_leaf or not len(features):
         return None
     den = h_total + lam
     parent = g_total * g_total / den if den > 0 else 0.0
 
     # position p splits off the first p + 1 sorted rows; legal p: lo <= p < hi
     lo, hi = min_leaf - 1, n - min_leaf
-    tops = []                       # per block: its first maximum (gain, feature, p)
+    tops = []                       # per block: its first maximum (gain, feature, threshold)
     step = max(1, _BLOCK // hi)
-    for f in range(0, order.shape[0], step):
-        rows = order[f:f + step, :hi]
-        gl, hl = g.take(rows), h.take(rows)
-        np.cumsum(gl, axis=1, out=gl)
-        np.cumsum(hl, axis=1, out=hl)
-        gl, hl = gl[:, lo:], hl[:, lo:]
-        gr = np.subtract(g_total, gl)
-        hr = np.subtract(h_total, hl)
-        hr += lam
-        hl += lam
-        gains = _gain_term(gl, hl)
-        gains += _gain_term(gr, hr)
-        gains -= parent
-        gains[xs[f:f + step, lo + 1:hi + 1] <= xs[f:f + step, lo:hi]] = -np.inf
-        row, at = divmod(int(gains.argmax()), hi - lo)
-        tops.append((gains[row, at], f + row, lo + at))
+    # an unmasked divide then a fix-up: a where= mask makes the divide ~5x slower
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for f in range(0, len(features), step):
+            rows = order[f:f + step]
+            sums = c.take(rows[:, :hi])
+            np.cumsum(sums, axis=1, out=sums)
+            # contiguous copies: ufuncs on the .real and .imag views are ~1.5x slower
+            hl, gl = sums.real[:, lo:].copy(), sums.imag[:, lo:].copy()
+            gr = np.subtract(g_total, gl)
+            hr = np.subtract(h_total, hl)
+            hr += lam
+            hl += lam
+            gains = np.square(gl, out=gl)
+            gains /= hl
+            if lam <= 0:                    # else H_L + lambda >= lambda > 0
+                gains[~(hl > 0)] = 0.0
+            np.square(gr, out=gr)
+            gr /= hr
+            if hr.min() <= 0:               # H - H_L can round below -lambda
+                gr[~(hr > 0)] = 0.0
+            gains += gr
+            gains -= parent
+            row, at, threshold = first_cut(gains, rows[:, lo:hi + 1], features[f:f + step], x)
+            tops.append((gains[row, at], features[f + row], threshold))
 
-    gain, feature, pos = tops[int(np.argmax([top[0] for top in tops]))]
+    gain, feature, threshold = tops[int(np.argmax([top[0] for top in tops]))]
     if not np.isfinite(gain) or gain <= 0.0:
         return None
-    return feature, float(0.5 * (xs[feature, pos] + xs[feature, pos + 1]))
+    return int(feature), threshold
 
 
 def _leaf_value(g_sum, h_sum, params: GbdtParams) -> float:
@@ -141,16 +146,18 @@ def _leaf_value(g_sum, h_sum, params: GbdtParams) -> float:
     return float(-np.sign(g_sum) * mag / den * params.learning_rate)
 
 
-def _build_tree(x, order, xs, g, h, params: GbdtParams) -> tuple:
-    """(tree, step) of one tree grown on the fit's presort (order, xs); step[r]
-    is the value of row r's leaf."""
+def _build_tree(x, order, features, g, h, params: GbdtParams) -> tuple:
+    """(tree, step) of one tree grown on the fit's presort ``order`` of x's
+    columns ``features``; step[r] is the value of row r's leaf."""
     step = np.empty(x.shape[0])
+    c = np.empty(x.shape[0], dtype=complex)
+    c.real, c.imag = h, g
 
-    def decide(idx, sorted_, depth):
+    def decide(idx, order, depth):
         # summed in ascending row order: a sorted-order sum moves the last bits
         g_total, h_total = g[idx].sum(), h[idx].sum()
         if depth < params.max_depth:
-            split = _best_split(*sorted_, g, h, g_total, h_total,
+            split = _best_split(x, order, features, c, g_total, h_total,
                                 params.l2_lambda, params.min_data_in_leaf)
             if split is not None:
                 return split, 0.0
@@ -158,14 +165,14 @@ def _build_tree(x, order, xs, g, h, params: GbdtParams) -> tuple:
         step[idx] = value
         return None, value
 
-    return grow(x, np.arange(x.shape[0]), (order, xs), decide), step
+    return grow(x, np.arange(x.shape[0]), order, decide), step
 
 
 def _grow(fit, cls: int, p) -> tuple:
     """Class cls's (tree, step) of the round, fit to the derivatives at p, its
     round-start probability column."""
-    x, y, order, xs, params = fit
-    return _build_tree(x, order, xs, p - (y == cls), p * (1.0 - p), params)
+    x, y, order, features, params = fit
+    return _build_tree(x, order, features, p - (y == cls), p * (1.0 - p), params)
 
 
 # the fit a pool worker serves: set by _serve in each forked worker, never in
@@ -197,11 +204,12 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     x, y, k = check_training_data(rows, labels, n_classes)
-    order = presort(x, stable=True)     # ties keep the lower row id first
-    xs = np.take_along_axis(x.T, order, axis=1)
+    # a single-valued column has no cut; ties keep the lower row id first
+    features = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
+    order = presort(x, stable=True, columns=features)
     scores = np.zeros((x.shape[0], k))
     probs = softmax(scores)
-    fit = (x, y, order, xs, params)
+    fit = (x, y, order, features, params)
 
     workers = min(k, _usable_cpus())
     in_process = workers == 1 or "fork" not in multiprocessing.get_all_start_methods()

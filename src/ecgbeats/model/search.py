@@ -100,7 +100,7 @@ def grid_search(rows, labels, candidates, fit, folds: int = 3, seed: int = 0,
             model = fit(x_train, y_train, params, n_classes=n_classes)
             pred, _ = predict_batch(model, rows[valid_idx])
             cm = confusion_matrix(y[valid_idx], pred, model.n_classes)
-            fold_f1.append(macro_metrics(cm)[2])
+            fold_f1.append(macro_metrics(cm)[-1])
     results = [GridResult(index=index, params=params, fold_f1=fold_f1,
                           mean_f1=float(np.mean(fold_f1)))
                for index, (params, fold_f1) in enumerate(zip(candidates, scores))]

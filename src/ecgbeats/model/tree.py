@@ -6,8 +6,10 @@ payload in ``value``: a regression tree (GBDT) holds a (n_nodes,) float64
 leaf score, a classification tree (random forest) a (n_nodes, K) int64
 training-count histogram. Split nodes hold a zero payload. A tree predicts
 ``tree.value[tree.apply(x)]``. Both ensembles share ``presort``, a fit's one
-sort, and ``grow``, which owns the node list, the routing and the presort
-each node carries; an ensemble supplies its split rule and payload.
+sort; ``grow``, which owns the node list, the routing and the one int32 row
+order each node carries; and ``first_cut``, the first maximum of a scan's
+scores among cuts between distinct values, which reads feature values from x
+only where the maximum lands. An ensemble supplies its split rule and payload.
 """
 
 from __future__ import annotations
@@ -55,43 +57,66 @@ class Tree:
             node[active] = np.where(go_left, self.left[rows], self.right[rows])
 
 
-def presort(x, stable: bool) -> np.ndarray:
-    """A fit's (F, N) int32 row order: row f lists x's rows by ascending x[:, f],
-    ties by row id if stable. One column at a time: no (F, N) int64 is made."""
-    order = np.empty(x.shape[::-1], dtype=np.int32)
-    for f in range(x.shape[1]):
-        order[f] = np.argsort(x[:, f], kind="stable" if stable else None)
+def presort(x, stable: bool, columns=None) -> np.ndarray:
+    """A fit's (F, N) int32 row order: row i lists x's rows by ascending
+    x[:, columns[i]] (every column by default), ties by row id if stable. One
+    column at a time: no (F, N) int64 or column copy is made."""
+    columns = range(x.shape[1]) if columns is None else columns
+    order = np.empty((len(columns), x.shape[0]), dtype=np.int32)
+    for i, f in enumerate(columns):
+        order[i] = np.argsort(x[:, f], kind="stable" if stable else None)
     return order
 
 
-def _keep(sorted_, mask):
-    """Each (F, n) array of sorted_ at the entries where mask holds, as (F, m)."""
+def first_cut(score, rows, columns, x):
+    """(i, j, threshold) of the first maximum of score (k, w) among the cuts
+    between distinct values: score[i, j] scores cutting column columns[i] of x
+    between rows rows[i, j] and rows[i, j + 1], at their values' midpoint;
+    rows (k, w + 1) is in ascending value order.
+
+    A cut between equal values is illegal. The unmasked first maximum, when it
+    is legal, is also the first among the legal cuts (a NaN ranks first, as
+    argmax ranks it), so a feature's values are read only where the maximum
+    lands on a tie: that feature's illegal cuts get -inf and the argmax runs
+    again. An -inf maximum is returned as found: no legal cut is left.
+    """
+    while True:
+        i, j = divmod(int(score.argmax()), score.shape[1])
+        f = columns[i]
+        below, above = x[rows[i, j], f], x[rows[i, j + 1], f]
+        if above > below or score[i, j] == -np.inf:
+            return i, j, float(0.5 * (below + above))
+        values = x[rows[i], f]
+        score[i, values[1:] <= values[:-1]] = -np.inf
+
+
+def _keep(order, mask):
+    """order (F, n) at the entries where mask holds, as (F, m)."""
     # flatnonzero + take is ~4x faster than boolean indexing on a random mask
-    keep = np.flatnonzero(mask)
-    return tuple(a.take(keep).reshape(a.shape[0], -1) for a in sorted_)
+    return order.take(np.flatnonzero(mask)).reshape(order.shape[0], -1)
 
 
-def grow(x, rows, sorted_, decide) -> Tree:
-    """Grow one tree depth-first over ``rows``, ascending row ids of x. sorted_
-    holds (F, len(rows)) arrays in each feature's value order, row ids first; a
-    split filters them into its children. ``decide(idx, sorted_, depth)``
-    returns a node's (split, payload), split None for a leaf."""
+def grow(x, rows, order, decide) -> Tree:
+    """Grow one tree depth-first over ``rows``, ascending row ids of x. order
+    (F, len(rows)) lists them in each feature's value order; a split filters it
+    into its children. ``decide(idx, order, depth)`` returns a node's (split,
+    payload), split None for a leaf."""
     nodes = [None]                 # filled when each node is popped
     goes_left = np.zeros(x.shape[0], dtype=bool)
-    stack = [(0, rows, sorted_, 0)]
+    stack = [(0, rows, order, 0)]
     while stack:
-        node, idx, sorted_, depth = stack.pop()
-        split, payload = decide(idx, sorted_, depth)
+        node, idx, order, depth = stack.pop()
+        split, payload = decide(idx, order, depth)
         if split is None:
             nodes[node] = (LEAF, 0.0, LEAF, LEAF, payload)
             continue
         feature, threshold = split
         go_left = x[idx, feature] <= threshold
         goes_left[idx] = go_left
-        in_left = goes_left[sorted_[0]]
+        in_left = goes_left.take(order)      # ~2.5x faster than goes_left[order]
         left = len(nodes)
         nodes += [None, None]
         nodes[node] = (feature, threshold, left, left + 1, payload)
-        stack.append((left + 1, idx[~go_left], _keep(sorted_, ~in_left), depth + 1))
-        stack.append((left, idx[go_left], _keep(sorted_, in_left), depth + 1))
+        stack.append((left + 1, idx[~go_left], _keep(order, ~in_left), depth + 1))
+        stack.append((left, idx[go_left], _keep(order, in_left), depth + 1))
     return Tree.from_nodes(nodes)

@@ -71,13 +71,13 @@ def test_end_to_end_pipeline(e2e):
     assert np.bincount(e2e["y_test"]).tolist() == [100, 100, 100]
 
     cm = confusion_matrix(e2e["y_test"], e2e["pred"], 3)
-    _, _, f1, _ = macro_metrics(cm)
+    _, _, _, f1 = macro_metrics(cm)
     assert f1 >= 0.90
 
     majority = int(np.argmax(np.bincount(e2e["y_train"])))
     baseline_cm = confusion_matrix(e2e["y_test"],
                                    np.full_like(e2e["y_test"], majority), 3)
-    _, _, baseline_f1, _ = macro_metrics(baseline_cm)
+    _, _, _, baseline_f1 = macro_metrics(baseline_cm)
     assert f1 > baseline_f1
 
     assert e2e["elapsed"] < 60.0
@@ -187,7 +187,7 @@ def test_gbdt_oracle(e2e):
 @criterion("metrics: [[8,2],[1,9]] matches hand computation to 1e-9, "
            "permutation-invariant over 100 shuffles")
 def test_metrics_criterion():
-    precision, recall, f1, accuracy = macro_metrics(np.array([[8, 2], [1, 9]]))
+    precision, recall, accuracy, f1 = macro_metrics(np.array([[8, 2], [1, 9]]))
     f1_0 = 2 * (8 / 9) * 0.8 / (8 / 9 + 0.8)
     f1_1 = 2 * (9 / 11) * 0.9 / (9 / 11 + 0.9)
     assert abs(precision - (8 / 9 + 9 / 11) / 2) < 1e-9

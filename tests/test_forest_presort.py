@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from ecgbeats.model import RfParams, fit_random_forest, forest, save_model
 from ecgbeats.model.ensemble import EnsembleModel
-from ecgbeats.model.tree import LEAF, Tree, grow, presort
+from ecgbeats.model.tree import LEAF, Tree, first_cut, grow, presort
 
 
 def _best_gini_split(x_node, y_node, n_classes, min_leaf, feats):
@@ -181,3 +181,44 @@ def test_deep_trees_equal_oracle():
     y = np.digitize(x[:, 0] + x[:, 5] + rng.normal(0.0, 0.7, 500), [-0.5, 0.5])
     assert_same_fit(x, y, RfParams(n_trees=4, seed=3))
     assert_same_fit(x, y, RfParams(n_trees=2, min_samples_leaf=4, seed=9))
+
+
+# sorted by column 0, rows 2-7 tie at 1.0 and the labels change inside that
+# run: the best score is an illegal cut between equal values. Column 1's legal
+# cut beats column 0's legal ones.
+TIED_RUN = np.array([0, 0, 1, 1, 1, 1, 1, 1, 2, 2], dtype=float)
+LATER_FEATURE = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1], dtype=float)
+TIED_RUN_LABELS = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("min_samples_leaf", [1, 2])
+@pytest.mark.parametrize("columns, root_feature", [
+    ((TIED_RUN,), 0),                  # the legal best is in the same feature
+    ((TIED_RUN, LATER_FEATURE), 1),    # the legal best is in a later feature
+])
+def test_first_maximum_on_a_tie_falls_back_to_the_legal_best(
+        monkeypatch, min_samples_leaf, columns, root_feature):
+    # every row in bag once, so the root scans these exact rows; leaf
+    # minimums of 2 keep the min-leaf mask, which 1 skips
+    masked = []                          # per scan: -inf cuts before and after first_cut
+
+    def recorded(score, rows, feats, x):
+        before = np.isneginf(score).sum()
+        cut = first_cut(score, rows, feats, x)
+        masked.append((before, np.isneginf(score).sum()))
+        return cut
+
+    monkeypatch.setattr(forest, "first_cut", recorded)
+    x, y = np.column_stack(columns), TIED_RUN_LABELS
+    params = RfParams(max_depth=2, min_samples_leaf=min_samples_leaf,
+                      features_per_split=x.shape[1], seed=4)
+    order = presort(x, stable=False)
+    got = forest._build_tree(x, y, np.ones(len(y), dtype=int), order, 2, params,
+                             np.random.default_rng(params.seed))
+    want = _build_tree(x, y, np.arange(len(y)), 2, params, np.random.default_rng(params.seed))
+    for field in ("feature", "threshold", "left", "right", "value"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field),
+                                      err_msg=field)
+    before, after = masked[0]
+    assert (before > 0) == (min_samples_leaf > 1)
+    assert after > before and got.feature[0] == root_feature

@@ -23,9 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgbeats.model import GbdtParams, fit_gbdt, gbdt, save_model
+from ecgbeats.model import GbdtParams, fit_gbdt, gbdt, load_model, save_model
 from ecgbeats.model.ensemble import EnsembleModel, check_training_data, softmax
-from ecgbeats.model.tree import LEAF, Tree, presort
+from ecgbeats.model.tree import LEAF, Tree, first_cut, presort
 
 
 def _gain_term(g_sum, den):
@@ -193,6 +193,73 @@ def test_saved_model_bytes_pinned(tmp_path):
     assert digest == PINNED_MODEL_SHA256
 
 
+def record_tie_masks(monkeypatch):
+    """Per scanned block, whether its first maximum landed on a tie, so that
+    first_cut masked a feature's ties; the round runs in-process."""
+    masked = []
+
+    def recorded(score, rows, columns, x):
+        before = np.isneginf(score).sum()
+        cut = first_cut(score, rows, columns, x)
+        masked.append(np.isneginf(score).sum() > before)
+        return cut
+
+    monkeypatch.setattr(gbdt, "first_cut", recorded)
+    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: 1)
+    return masked
+
+
+# sorted by column 0, rows 2-7 tie at 1.0 and the labels change inside that
+# run: the best gain is an illegal cut between equal values. Column 1's legal
+# cut beats column 0's legal ones.
+TIED_RUN = np.array([0, 0, 1, 1, 1, 1, 1, 1, 2, 2], dtype=float)
+LATER_FEATURE = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1], dtype=float)
+TIED_RUN_LABELS = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("block", [1, gbdt._BLOCK])
+@pytest.mark.parametrize("columns, root_feature", [
+    ((TIED_RUN,), 0),                  # the legal best is in the same feature
+    ((TIED_RUN, LATER_FEATURE), 1),    # the legal best is in a later feature
+])
+def test_first_maximum_on_a_tie_falls_back_to_the_legal_best(
+        monkeypatch, block, columns, root_feature):
+    monkeypatch.setattr(gbdt, "_BLOCK", block)
+    masked = record_tie_masks(monkeypatch)
+    x = np.column_stack(columns)
+    params = GbdtParams(n_estimators=2, max_depth=2, min_data_in_leaf=2)
+    assert_same_fit(x, TIED_RUN_LABELS, params, k=2)
+    assert any(masked)
+    model = fit_gbdt(x, TIED_RUN_LABELS, params, n_classes=2)
+    assert model.trees[0].feature[0] == root_feature
+
+
+def test_all_single_valued_columns_grow_leaves(monkeypatch):
+    # no column has a cut: every tree is one leaf, and no scan runs
+    masked = record_tie_masks(monkeypatch)
+    x = np.full((12, 3), 2.5)
+    y = np.arange(12) % 3
+    params = GbdtParams(n_estimators=3, min_data_in_leaf=1)
+    assert_same_fit(x, y, params)
+    assert all(tree.n_nodes == 1 for tree in fit_gbdt(x, y, params).trees)
+    assert masked == []
+
+
+def test_single_valued_columns_keep_the_original_feature_ids(tmp_path):
+    # constant first and last columns around informative ones: the saved
+    # splits name x's own columns, and the trees equal the oracle's
+    rng = np.random.default_rng(6)
+    inner = np.round(rng.normal(size=(150, 3)), 1)
+    x = np.column_stack([np.full(150, -1.0), inner, np.full(150, 7.0)])
+    y = np.digitize(inner[:, 0] + inner[:, 2] + rng.normal(0.0, 0.5, 150), [-0.5, 0.5])
+    params = GbdtParams(n_estimators=3, max_depth=4, min_data_in_leaf=3)
+    assert_same_fit(x, y, params)
+    save_model(fit_gbdt(x, y, params), tmp_path / "m.model")
+    used = {int(f) for tree in load_model(tmp_path / "m.model").trees
+            for f in tree.feature if f != LEAF}
+    assert used == {1, 2, 3}
+
+
 @settings(max_examples=100, deadline=None)
 @given(tie_heavy_problems())
 def test_stable_presort_is_the_stable_argsort_in_int32(problem):
@@ -240,8 +307,8 @@ def test_step_is_each_rows_leaf_value(problem):
     # the scores fit_gbdt adds equal the tree's own routing of the training rows
     x, g, h, params = problem
     order = presort(x, stable=True)
-    xs = np.take_along_axis(x.T, order, axis=1)
-    tree, step = gbdt._build_tree(x, order, xs, g, h, params)
+    features = np.arange(x.shape[1])
+    tree, step = gbdt._build_tree(x, order, features, g, h, params)
     routed = tree.value[tree.apply(x)]
     assert step.dtype == routed.dtype and step.shape == routed.shape
     assert step.tobytes() == routed.tobytes()
@@ -251,7 +318,7 @@ def serial_fit(x, y, params, k):
     """fit_gbdt's loop on one thread: _build_tree class by class, in order."""
     x, y, k = check_training_data(x, y, k)
     order = presort(x, stable=True)
-    xs = np.take_along_axis(x.T, order, axis=1)
+    features = np.arange(x.shape[1])
     onehot = np.eye(k)[y]
     scores = np.zeros((x.shape[0], k))
     trees, logloss = [], []
@@ -260,7 +327,7 @@ def serial_fit(x, y, params, k):
         for cls in range(k):
             g = probs[:, cls] - onehot[:, cls]
             h = probs[:, cls] * (1.0 - probs[:, cls])
-            tree, step = gbdt._build_tree(x, order, xs, g, h, params)
+            tree, step = gbdt._build_tree(x, order, features, g, h, params)
             trees.append(tree)
             scores[:, cls] += step
         probs = softmax(scores)

@@ -40,7 +40,7 @@ class TestConfusionMatrix:
 class TestMacroMetrics:
     def test_hand_computed_example(self):
         cm = np.array([[8, 2], [1, 9]])
-        precision, recall, f1, accuracy = macro_metrics(cm)
+        precision, recall, accuracy, f1 = macro_metrics(cm)
         # class 0: P=8/9, R=0.8, F1~0.842105; class 1: P=9/11, R=0.9, F1~0.857143
         assert precision == pytest.approx((8 / 9 + 9 / 11) / 2, abs=1e-9)
         assert recall == pytest.approx((0.8 + 0.9) / 2, abs=1e-9)
@@ -60,7 +60,7 @@ class TestMacroMetrics:
     def test_absent_class_contributes_zero(self):
         # class 2 never appears and is never predicted
         cm = np.array([[5, 0, 0], [0, 5, 0], [0, 0, 0]])
-        precision, recall, f1, accuracy = macro_metrics(cm)
+        precision, recall, accuracy, f1 = macro_metrics(cm)
         assert precision == pytest.approx(2 / 3)
         assert recall == pytest.approx(2 / 3)
         assert f1 == pytest.approx(2 / 3)
@@ -82,7 +82,7 @@ class TestMacroMetrics:
             cm = rng.integers(0, 20, size=(3, 3))
             if cm.sum() == 0:
                 continue
-            _, _, macro_f1, _ = macro_metrics(cm)
+            _, _, _, macro_f1 = macro_metrics(cm)
             per_class = []
             for c in range(3):
                 tp = cm[c, c]
