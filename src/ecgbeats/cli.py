@@ -205,13 +205,13 @@ def cmd_featurize(args) -> tuple:
     rows, labels = features_mod.beat_features(beats, hrv), beats.label
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.test_fraction is None:
         parts = [("", out, np.arange(len(labels)))]
     else:
         split = stratified_split(labels, args.test_fraction, args.split_seed)
         parts = [(f"{name} ", out.with_name(f"{out.stem}_{name}{out.suffix}"), idx)
                  for name, idx in zip(("train", "test"), split)]
+    out.parent.mkdir(parents=True, exist_ok=True)
     for _, path, idx in parts:
         record_io.save_feature_matrix(rows[idx], labels[idx], path)
     return inputs, [path for _, path, _ in parts], (

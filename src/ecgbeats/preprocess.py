@@ -112,8 +112,8 @@ def bandpass_sos(low: float, high: float, fs: float) -> np.ndarray:
             i = np.argsort(np.abs(zeros - p1))[0]
             pair.append(zeros[i])
             zeros = np.delete(zeros, i)
-        sos[si, :3] = _poly(pair)
-        sos[si, 3:] = _poly([p1, p2]).real
+        sos[si, :3] = np.poly(pair)
+        sos[si, 3:] = np.poly([p1, p2]).real
     sos[0, :3] *= gain
     return sos
 
@@ -132,14 +132,6 @@ def _cplxreal(z):
     for start, stop in zip(np.flatnonzero(edges > 0), np.flatnonzero(edges < 0) + 1):
         zp[start:stop] = zp[start:stop][np.lexsort([abs(zp[start:stop].imag)])]
     return zp, z[real].real
-
-
-def _poly(roots) -> np.ndarray:
-    """Monic polynomial coefficients from roots, convolved as scipy does."""
-    coeffs = np.ones(1, dtype=np.asarray(roots).dtype)
-    for root in roots:
-        coeffs = np.convolve(coeffs, [1, -root])
-    return coeffs
 
 
 def _steady_state(sos) -> np.ndarray:

@@ -12,8 +12,9 @@ The draw order is part of that byte contract: the beat permutation, then
 one RR draw for each beat after the first, then the noise in sample order.
 Each sample's value is the running sum of its terms, added beat by beat in
 time order and, within a beat, component by component in template order.
-``generate`` forms the sums in array layers (layer m adds each sample's
-m-th covering beat), which makes exactly those additions in that order.
+``generate`` lays each pass's terms out in that order, (beat, component,
+window sample), and adds them with one ``np.add.at``, which adds repeated
+indices unbuffered in array order: exactly those additions in that order.
 """
 
 from __future__ import annotations
@@ -109,30 +110,20 @@ def generate(cfg: SynthConfig) -> EcgRecord:
     step = max(1, int(_CHUNK_S * cfg.fs))
     for start in range(0, n, step):
         stop = min(start + step, n)
-        # windows are in time order, so the beats covering sample i are
-        # first[i] .. first[i] + covering[i] - 1
-        first = _count_to(hi, start, stop)
-        begun = _count_to(lo, start, stop)
-        covering = begun - first
         # every term of the beats b0 .. b1 - 1 that meet the chunk, on a
-        # (component, beat, window sample) grid
-        b0, b1 = first[0], begun[-1]
-        offset, amplitude, width = _COMPONENTS[:, :, codes[b0:b1], None]
-        dt = (lo[b0:b1, None] + np.arange(span)) / cfg.fs - times[b0:b1, None]
+        # (beat, component, window sample) grid; a cell adds only inside its
+        # beat's window and the chunk
+        b0 = np.searchsorted(hi, start, "right")
+        b1 = np.searchsorted(lo, stop - 1, "right")
+        cells = lo[b0:b1, None, None] + np.arange(span)
+        offset, amplitude, width = _COMPONENTS[:, :, codes[b0:b1]].swapaxes(1, 2)[..., None]
+        dt = cells / cfg.fs - times[b0:b1, None, None]
         terms = amplitude * np.exp(-0.5 * ((dt - offset) / width) ** 2)
-        terms = terms.reshape(len(terms), -1)
-        chunk = signal[start:stop]
-        # layer m adds each sample's m-th covering beat, component by component
-        for m in range(covering.max()):
-            at = np.flatnonzero(covering > m)
-            beat = first[at] + m
-            cell = (beat - b0) * span + start + at - lo[beat]
-            value = chunk[at]
-            for component in terms:
-                value += component[cell]
-            chunk[at] = value
+        inside = np.broadcast_to(
+            (cells >= start) & (cells < np.minimum(hi[b0:b1, None, None], stop)), terms.shape)
+        np.add.at(signal, np.broadcast_to(cells, terms.shape)[inside], terms[inside])
         if cfg.noise_std > 0:
-            chunk += rng.normal(0.0, cfg.noise_std, size=stop - start)
+            signal[start:stop] += rng.normal(0.0, cfg.noise_std, size=stop - start)
 
     rpeaks = np.rint(times * cfg.fs).astype(int)
     return EcgRecord(signal=signal, fs=cfg.fs, rpeaks=rpeaks, labels=schedule)
@@ -147,8 +138,3 @@ def _first_sample(x, n, fs):
     k += (k < n) & (k / fs < x)
     return k
 
-
-def _count_to(bounds, start, stop):
-    """For each sample i in [start, stop), the number of sorted ``bounds`` <= i."""
-    k0, k1 = np.searchsorted(bounds, [start, stop - 1], side="right")
-    return k0 + np.cumsum(np.bincount(bounds[k0:k1] - start, minlength=stop - start))

@@ -341,6 +341,17 @@ class TestErrors:
         assert (tmp_path / "f_train.csv").exists()
         assert not (tmp_path / "f_train.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("split, field", [
+        (["--test-fraction", "2"], "test_fraction"),
+        (["--test-fraction", "0.2", "--split-seed", "-1"], "seed"),
+    ], ids=["test-fraction", "split-seed"])
+    def test_bad_split_flag_writes_nothing(self, tmp_path, capsys, pipeline_dir, split, field):
+        code = run("featurize", "--beats", pipeline_dir / "pre" / "beats.csv",
+                   "--out", tmp_path / "new" / "f.csv", *split)
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     def test_bad_flag_value_is_validation_error(self, tmp_path):
         assert run("synth", "--out-dir", tmp_path, "--n-beats", 0) == 1
 

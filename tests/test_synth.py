@@ -112,8 +112,8 @@ class TestGenerateMatchesTheBeatLoop:
     @given(cfg=configs(max_beats=3, rates=(50.0, 97.3, 250.0, 360.0)),
            chunk_s=st.floats(1e-3, 3.0))
     def test_same_bytes_at_any_chunk_size(self, cfg, chunk_s):
-        # passes of 1 to 1,080 samples: windows and the layers they form
-        # cross pass edges at every offset
+        # passes of 1 to 1,080 samples: beat windows, and the samples where
+        # windows overlap, cross pass edges at every offset
         with mock.patch.object(synth, "_CHUNK_S", chunk_s):
             record = generate(cfg)
         assert_same_record(record, reference_generate(cfg))
@@ -131,6 +131,14 @@ class TestGenerateMatchesTheBeatLoop:
         xs = np.array([x, x - 0.5, x + 0.5, -1.0])
         t = np.arange(n) / fs
         assert np.array_equal(synth._first_sample(xs, n, fs), np.searchsorted(t, xs))
+
+    def test_add_at_adds_repeated_indices_in_array_order(self):
+        # generate's addition order is np.add.at's: left to right, 1 + 2**53
+        # rounds back to 2**53 and the sum ends at 0.0; adding the two large
+        # terms first would leave 1.0
+        a = np.zeros(1)
+        np.add.at(a, [0, 0, 0], [1.0, 2.0**53, -2.0**53])
+        assert a[0] == 0.0
 
     def test_the_v_template_is_padded_with_zero_terms(self):
         _, amplitude, width = synth._COMPONENTS[:, :, synth._SYMBOLS.index("V")]
