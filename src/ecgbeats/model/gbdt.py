@@ -40,9 +40,10 @@ of each row's leaf. A class tree is a pure function of those, and only the
 fitting process holds the scores: it adds each class's step to its score
 column in class order, as LightGBM and XGBoost boosters add a finished tree's
 output, so the bytes are the same for any worker count. With one usable CPU,
-or where fork is unavailable, the round runs in-process. The pool forks its
-workers before it starts its own thread, and they run only the tree builder
-and the pool's queues.
+where fork is unavailable, or for a fit of fewer than ``_POOL_MIN_ROW_ROUNDS``
+rows x n_estimators, the rounds run in-process. The pool forks its workers
+before it starts its own thread, and they run only the tree builder and the
+pool's queues.
 """
 
 from __future__ import annotations
@@ -189,6 +190,13 @@ def _grow_served(cls: int, p) -> tuple:
     return _grow(_served, cls, p)
 
 
+# rows x n_estimators from which a fit forks its pool: below it, forking and
+# feeding the workers cost more than the second CPU saves. On a 2-core VM the
+# pool began to win between 6,480 and 10,800 on the fit-hard benchmark's rows,
+# and between 12,000 and 18,000 on corpus-prep's.
+_POOL_MIN_ROW_ROUNDS = 15_000
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -199,10 +207,6 @@ def _usable_cpus() -> int:
 def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
              n_classes: int | None = None) -> EnsembleModel:
     """Fit the boosted ensemble; scores start at 0 for every class."""
-    # imported here: at module level they would add to every CLI stage's start-up
-    import multiprocessing
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
     x, y, k = check_training_data(rows, labels, n_classes)
     # a single-valued column has no cut; ties keep the lower row id first
     features = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
@@ -212,7 +216,12 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
     fit = (x, y, order, features, params)
 
     workers = min(k, _usable_cpus())
-    in_process = workers == 1 or "fork" not in multiprocessing.get_all_start_methods()
+    in_process = workers == 1 or x.shape[0] * params.n_estimators < _POOL_MIN_ROW_ROUNDS
+    if not in_process:
+        # imported here: at module level they would add to every CLI stage's start-up
+        import multiprocessing
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        in_process = "fork" not in multiprocessing.get_all_start_methods()
     # fork hands the workers fit without pickling it; they start at the first submit
     pool = contextlib.nullcontext() if in_process else ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),

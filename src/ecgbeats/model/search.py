@@ -1,8 +1,9 @@
 """Grid search over stratified K-fold cross-validation, scored by macro F1.
 
 Folds and the train/test split are stratified per class: ``_class_shuffles``
-shuffles each class's indices with one seeded generator. Folds deal them
-round-robin, so fold class counts stay within one sample of proportional.
+shuffles each class's indices with one seeded generator, and each side is the
+sorted union of one slice per shuffle. Fold j takes ``idx[j::folds]``, so fold
+class counts stay within one sample of proportional.
 When a balance plan is given it is applied to the training split of each
 fold only; validation folds are never resampled.
 """
@@ -28,19 +29,20 @@ def _class_shuffles(y, seed: int):
         yield cls, idx
 
 
+def _sorted_union(parts):
+    """The sorted concatenation of index arrays (int64, empty for none)."""
+    return np.sort(np.concatenate([np.empty(0, dtype=int), *parts]))
+
+
 def stratified_kfold(labels, folds: int, seed: int = 0) -> list:
     """Index arrays for each fold, class-stratified within one sample."""
     y = np.asarray(labels, dtype=int)
     validate([int_at_least("folds", folds, 2), int_at_least("seed", seed, 0)])
-    assignments = [[] for _ in range(folds)]
-    for cls, idx in _class_shuffles(y, seed):
+    shuffles = list(_class_shuffles(y, seed))
+    for cls, idx in shuffles:
         if idx.shape[0] < folds:
-            raise ValidationError(
-                f"class {cls} has {idx.shape[0]} samples; needs >= {folds}"
-            )
-        for pos, sample in enumerate(idx):
-            assignments[pos % folds].append(sample)
-    return [np.sort(np.asarray(fold, dtype=int)) for fold in assignments]
+            raise ValidationError(f"class {cls} has {idx.shape[0]} samples; needs >= {folds}")
+    return [_sorted_union(idx[j::folds] for _, idx in shuffles) for j in range(folds)]
 
 
 def stratified_split(labels, test_fraction: float, seed: int = 0):
@@ -55,12 +57,10 @@ def stratified_split(labels, test_fraction: float, seed: int = 0):
          f"test_fraction must be in (0, 1), got {test_fraction!r}"),
         int_at_least("seed", seed, 0),
     ])
-    train, test = [], []
-    for _, idx in _class_shuffles(y, seed):
-        n_test = int(round(test_fraction * idx.shape[0]))
-        test.extend(idx[:n_test])
-        train.extend(idx[n_test:])
-    return np.sort(np.asarray(train, dtype=int)), np.sort(np.asarray(test, dtype=int))
+    shuffles = [idx for _, idx in _class_shuffles(y, seed)]
+    n_test = [int(round(test_fraction * idx.shape[0])) for idx in shuffles]
+    return (_sorted_union(idx[n:] for idx, n in zip(shuffles, n_test)),
+            _sorted_union(idx[:n] for idx, n in zip(shuffles, n_test)))
 
 
 @dataclass
@@ -86,13 +86,10 @@ def grid_search(rows, labels, candidates, fit, folds: int = 3, seed: int = 0,
     if not candidates:
         raise ValidationError("empty parameter grid")
     fold_idx = stratified_kfold(y, folds, seed)
-    all_idx = np.arange(y.shape[0])
 
     scores = [[] for _ in candidates]
     for valid_idx in fold_idx:
-        train_mask = np.ones(y.shape[0], dtype=bool)
-        train_mask[valid_idx] = False
-        train_idx = all_idx[train_mask]
+        train_idx = np.delete(np.arange(y.shape[0]), valid_idx)
         x_train, y_train = rows[train_idx], y[train_idx]
         if balance_plan is not None:
             x_train, y_train = apply_plan(x_train, y_train, balance_plan)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 
-from ecgbeats.errors import DataError
+from ecgbeats.errors import DataError, ValidationError
 from ecgbeats.record_io import EcgRecord, parse_number
 from ecgbeats.synth import _EDGE_PAD_S, _RR_BEFORE, _RR_COMPENSATORY, _TEMPLATES
 
@@ -92,6 +92,42 @@ def reference_generate(cfg):
 
     rpeaks = np.rint(times * cfg.fs).astype(int)
     return EcgRecord(signal=signal, fs=cfg.fs, rpeaks=rpeaks, labels=schedule)
+
+
+def reference_shuffles(labels, seed):
+    """Each class's indices, ascending by class, shuffled one class after
+    another by one seeded generator."""
+    rng = np.random.default_rng(seed)
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        yield cls, idx
+
+
+def reference_kfold(labels, folds, seed):
+    """``search.stratified_kfold`` dealing each class's shuffle into the folds
+    one sample at a time, round-robin."""
+    assignments = [[] for _ in range(folds)]
+    for cls, idx in reference_shuffles(np.asarray(labels, dtype=int), seed):
+        if idx.shape[0] < folds:
+            raise ValidationError(
+                f"class {cls} has {idx.shape[0]} samples; needs >= {folds}"
+            )
+        for pos, sample in enumerate(idx):
+            assignments[pos % folds].append(sample)
+    return [np.sort(np.asarray(fold, dtype=int)) for fold in assignments]
+
+
+def reference_split(labels, test_fraction, seed):
+    """``search.stratified_split`` dealing each class's first
+    round(test_fraction * count) shuffled samples to the test side one at a
+    time, and the rest to the training side; returns (train, test)."""
+    train, test = [], []
+    for _, idx in reference_shuffles(np.asarray(labels, dtype=int), seed):
+        n_test = int(round(test_fraction * idx.shape[0]))
+        for pos, sample in enumerate(idx):
+            (test if pos < n_test else train).append(sample)
+    return np.sort(np.asarray(train, dtype=int)), np.sort(np.asarray(test, dtype=int))
 
 
 def load_image_f32(path, size: int = 32) -> np.ndarray:

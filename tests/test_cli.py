@@ -501,6 +501,7 @@ class TestErrors:
             "    os.kill(os.getpid(), signal.SIGKILL)",
             "gbdt._build_tree = killing_build",
             "gbdt._usable_cpus = lambda: 2",
+            "gbdt._POOL_MIN_ROW_ROUNDS = 0",
             "sys.exit(cli.main(sys.argv[2:]))",
         ])
         model = tmp_path / "m.txt"

@@ -7,12 +7,15 @@ routing the training rows through each finished tree. The presorted engine
 must grow the same trees bit for bit. ``fit_gbdt`` builds a round's K trees
 in min(K, CPUs) forked worker processes; its saved bytes must equal those of
 one process calling ``_build_tree`` class by class, whatever the CPU count.
+Fits below ``gbdt._POOL_MIN_ROW_ROUNDS`` rows x rounds run in-process, so the
+tests that exercise the pool set that rule to 0.
 """
 
 import concurrent.futures
 import hashlib
 import multiprocessing
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -182,7 +185,9 @@ def test_saturated_probabilities_with_tiny_lambda_equal_oracle():
 PINNED_MODEL_SHA256 = "3f1e07911be6137bb1700cf99bc3c0c3e19c943d8650088c11d37d53020e3077"
 
 
-def test_saved_model_bytes_pinned(tmp_path):
+def test_saved_model_bytes_pinned(tmp_path, monkeypatch):
+    # forked workers wherever there are two CPUs, whatever the fit's size
+    monkeypatch.setattr(gbdt, "_POOL_MIN_ROW_ROUNDS", 0)
     rng = np.random.default_rng(2024)
     x = rng.normal(size=(240, 6))
     x[:, 3:] = np.round(x[:, 3:], 1)
@@ -346,6 +351,7 @@ def assert_thread_count_invariant(x, y, params, k, cpus):
     want = serial_fit(x, y, params, k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gbdt, "_usable_cpus", lambda: cpus)
+        mp.setattr(gbdt, "_POOL_MIN_ROW_ROUNDS", 0)
         got = fit_gbdt(x, y, params, n_classes=k)
     assert saved_bytes(got) == saved_bytes(want)
     assert got.train_logloss == want.train_logloss
@@ -422,6 +428,7 @@ def test_pool_has_min_of_classes_and_cpus_workers(monkeypatch, cpus, k, workers)
     # one worker starts no pool: the round runs in-process
     pools = record_pools(monkeypatch)
     monkeypatch.setattr(gbdt, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(gbdt, "_POOL_MIN_ROW_ROUNDS", 0)
     fit_gbdt(np.arange(8.0)[:, None], np.arange(8) % k, GbdtParams(n_estimators=1))
     assert pools == ([(workers, "fork")] if workers > 1 else [])
     assert gbdt._served is None          # set in the workers only
@@ -436,10 +443,52 @@ def test_without_fork_the_round_runs_in_process(monkeypatch):
     pools = record_pools(monkeypatch)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(gbdt, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(gbdt, "_POOL_MIN_ROW_ROUNDS", 0)
     got = fit_gbdt(x, y, params)
     assert pools == []
     assert saved_bytes(got) == saved_bytes(want)
     assert got.train_logloss == want.train_logloss
+
+
+def test_fit_below_the_size_rule_runs_in_process(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = np.round(rng.normal(size=(300, 6)), 1)
+    y = np.digitize(x[:, 0] + 0.5 * x[:, 3] + rng.normal(0.0, 0.5, 300), [-0.5, 0.5])
+    params = GbdtParams(n_estimators=3, min_data_in_leaf=2)
+    pools = record_pools(monkeypatch)
+    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: 3)
+    # 300 rows x 3 rounds: just below the rule (in-process), then at it (pooled)
+    monkeypatch.setattr(gbdt, "_POOL_MIN_ROW_ROUNDS", 901)
+    below = fit_gbdt(x, y, params)
+    assert pools == []
+    monkeypatch.setattr(gbdt, "_POOL_MIN_ROW_ROUNDS", 900)
+    above = fit_gbdt(x, y, params)
+    assert pools == [(3, "fork")]
+    assert saved_bytes(below) == saved_bytes(above)
+    assert below.train_logloss == above.train_logloss
+
+
+def test_small_fit_imports_no_pool_machinery():
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from ecgbeats.model import gbdt",
+        "gbdt._usable_cpus = lambda: 3",
+        "gbdt.fit_gbdt(np.arange(30.0)[:, None], np.arange(30) % 3,",
+        "              gbdt.GbdtParams(n_estimators=2))",
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(gbdt.__file__).parents[2])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_size_rule_sits_between_the_benchmark_fits():
+    # fit-hard's 20-round fit on 2,160 rows gains from the pool; corpus-prep's
+    # 1-round fit on 6,000 rows loses to the fork
+    assert 6_000 * 1 < gbdt._POOL_MIN_ROW_ROUNDS <= 2_160 * 20
 
 
 def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):

@@ -2,14 +2,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecgbeats.errors import DataError, ParseError, ValidationError
 from ecgbeats.model import (GbdtParams, RfParams, fit_gbdt,
-                            fit_random_forest, grid_search, load_model,
+                            fit_random_forest, gbdt, grid_search, load_model,
                             predict_batch, predict_proba, save_model,
                             stratified_kfold)
 from ecgbeats.model.ensemble import softmax
 from ecgbeats.model.search import stratified_split
+from tests.helpers import reference_kfold, reference_split
 
 
 def blobs(n_per_class=50, centers=((0, 0), (4, 0), (0, 4)), spread=0.3, seed=0):
@@ -249,7 +252,9 @@ class TestPersistence:
         _, probs = predict_batch(loaded, [[0.0]])
         assert np.allclose(probs, 0.5)
 
-    def test_model_and_prediction_bytes_pinned(self, tmp_path):
+    def test_model_and_prediction_bytes_pinned(self, tmp_path, monkeypatch):
+        # GBDT forks its workers wherever there are two CPUs, whatever the size
+        monkeypatch.setattr(gbdt, "_POOL_MIN_ROW_ROUNDS", 0)
         # tie-heavy rows (few levels, a duplicated column); the forest grows
         # unbounded trees on bootstrap samples that repeat rows
         rng = np.random.default_rng(77)
@@ -478,6 +483,32 @@ class TestGridSearch:
         assert test.tolist() == [1, 2, 4, 13, 16, 17, 19]
         assert [fold.tolist() for fold in stratified_kfold(labels, 3, seed=4)] == [
             [0, 1, 2, 7, 13, 18, 19], [3, 5, 6, 8, 10, 14, 17], [4, 9, 11, 12, 15, 16]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=st.integers(1, 5).flatmap(lambda k: st.lists(
+               st.integers(0, k - 1).map(lambda c: 3 * c - 2), max_size=400)),
+           folds=st.integers(2, 5),
+           test_fraction=st.floats(0, 1, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**32))
+    def test_slices_equal_the_per_sample_dealing(self, labels, folds, test_fraction, seed):
+        # class ids need not start at 0 or be contiguous; empty labels included
+        labels = np.asarray(labels, dtype=int)
+        for got, want in zip(stratified_split(labels, test_fraction, seed),
+                             reference_split(labels, test_fraction, seed)):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()
+        try:
+            want = reference_kfold(labels, folds, seed)
+        except ValidationError as small:
+            with pytest.raises(ValidationError) as error:
+                stratified_kfold(labels, folds, seed)
+            assert str(error.value) == str(small)
+            return
+        got = stratified_kfold(labels, folds, seed)
+        assert len(got) == folds
+        for fold, want_fold in zip(got, want):
+            assert fold.dtype == want_fold.dtype == np.int64
+            assert fold.tolist() == want_fold.tolist()
 
     def test_class_smaller_than_folds_rejected(self):
         labels = np.array([0, 0, 0, 1])
