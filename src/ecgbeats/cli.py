@@ -20,6 +20,7 @@ an allocation the machine refuses (MemoryError).
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -36,9 +37,11 @@ from . import record_io
 from . import synth as synth_mod
 from .encode import MtfConfig, encode_beat, out_of_range
 from .errors import DataError, ValidationError, is_real, validate
-from .model import (GbdtParams, RfParams, fit_gbdt, fit_random_forest,
-                    grid_search, load_model, predict_batch, save_model)
-from .model.search import stratified_split
+from .model.ensemble import predict_batch
+from .model.forest import RfParams, fit_random_forest
+from .model.gbdt import GbdtParams, fit_gbdt
+from .model.persist import load_model, save_model
+from .model.search import grid_search, stratified_split
 from .record_io import LabelSet, read_beats_csv, write_beats_csv
 
 ENCODE_CHUNK = 256  # beats encoded per encode_beat call by cmd_encode
@@ -487,5 +490,14 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The entry of the ``ecgbeats`` script and of ``python -m ecgbeats.cli``:
+    it freezes the imported heap, so neither the collections during ``main``
+    nor the final ones at exit walk it. ``main`` freezes nothing, for callers
+    that run it in-process."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

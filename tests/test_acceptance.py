@@ -17,8 +17,10 @@ from ecgbeats.balance import BalancePlan, apply_plan, smote
 from ecgbeats.encode import MtfConfig, gasf, mtf, paa, quantile_bins, recurrence, transition_matrix
 from ecgbeats.features import beat_features, record_hrv
 from ecgbeats.metrics import confusion_matrix, macro_metrics
-from ecgbeats.model import (GbdtParams, RfParams, fit_gbdt, fit_random_forest,
-                            load_model, predict_batch, save_model)
+from ecgbeats.model.ensemble import predict_batch
+from ecgbeats.model.forest import RfParams, fit_random_forest
+from ecgbeats.model.gbdt import GbdtParams, fit_gbdt
+from ecgbeats.model.persist import load_model, save_model
 from ecgbeats.preprocess import (bandpass_filter, normalize_beats,
                                  preprocess_record, segment_beats)
 from ecgbeats.record_io import export_image, load_feature_matrix, save_feature_matrix

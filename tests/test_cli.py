@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 
 from ecgbeats import cli
-from ecgbeats.model import GbdtParams, RfParams
+from ecgbeats.model.forest import RfParams
+from ecgbeats.model.gbdt import GbdtParams
 from ecgbeats.record_io import (BEAT_LEN, MAX_CLASSES, Beats, load_feature_matrix,
                                 read_beats_csv, save_feature_matrix, write_annotations_csv,
                                 write_beats_csv, write_signal_csv)
+from ecgbeats.synth import SynthConfig, generate
 
 
 def run(*argv):
@@ -301,6 +304,46 @@ def test_encode_of_3000_noisy_beats_matches_pinned_digests(tmp_path):
     assert run("encode", "--beats", tmp_path / "first.csv",
                "--out-dir", tmp_path / "img") == 0
     assert image_digests(tmp_path / "img") == RECORD_3000_IMAGE_DIGESTS
+
+
+# the seven artifacts perfbench/run.py digests on its fit-hard workload at
+# seed 42, from the record test_synth.py pins (rr_jitter 0.15)
+FIT_HARD_SEED42_SHA256 = {
+    "beats.csv": "54f2cdd1987b581234bae1f0f556e492065c038d281c6daa16df18877e5e9137",
+    "features_train.csv": "fdac37ee42668f0b7b8cd32caa96bb2d7788455eb68fb745da99e07369ea6ff3",
+    "features_test.csv": "3a27c1a22d75ccc58baa703ac8cc8f112499f6780b4516a157db36c8beb817f8",
+    "balanced.csv": "bd90a7ef356a1e15f9e76d1c614da1186c52f9d8c7a025cab15c2a40623d321a",
+    "gbdt.model": "377d00dff8d01ea2bbf18585c4c1089e5595048673ba89ca72e2cc08ba2735ec",
+    "rf.model": "65b6aa47015d38c3ea40d2fd744a9ecdf339f7f887e7273ca38d5e44522469b7",
+    "images/index.csv": "492faf63e1adf893d03314a126e67a1610d1bb542641ed6a10191df77b18e1d2",
+}
+
+
+def test_fit_hard_chain_artifacts_pinned(tmp_path):
+    # the benchmark's own chain, argument for argument: the benchmark compares
+    # artifacts only between the chains of one run, so this pins them across commits
+    record = generate(SynthConfig(n_beats=600, noise_std=0.3, rr_jitter=0.15, seed=42))
+    write_signal_csv(tmp_path / "signal.csv", record.signal)
+    write_annotations_csv(tmp_path / "annotations.csv", record.rpeaks, record.labels)
+    out = tmp_path / "out"
+    for argv in (
+            ["preprocess", "--signal", tmp_path / "signal.csv",
+             "--annotations", tmp_path / "annotations.csv", "--fs", 250, "--out-dir", out],
+            ["featurize", "--beats", out / "beats.csv", "--out", out / "features.csv",
+             "--test-fraction", "0.2", "--split-seed", 42],
+            ["balance", "--features", out / "features_train.csv", "--out", out / "balanced.csv",
+             "--targets", "N=720,S=720,V=720", "--seed", 42],
+            ["train", "--model", "gbdt", "--features", out / "balanced.csv",
+             "--out", out / "gbdt.model", "--n-estimators", 20, "--seed", 42],
+            ["train", "--model", "rf", "--features", out / "balanced.csv",
+             "--out", out / "rf.model", "--n-trees", 10, "--seed", 42]):
+        assert run(*argv) == 0
+    # the header and the first 10 beats, copied in text mode as write_encode_input does
+    with open(out / "beats.csv") as src, open(out / "encode_input.csv", "w") as dst:
+        dst.writelines(line for _, line in zip(range(11), src))
+    assert run("encode", "--beats", out / "encode_input.csv", "--out-dir", out / "images") == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in FIT_HARD_SEED42_SHA256} == FIT_HARD_SEED42_SHA256
 
 
 class TestDeterminism:
@@ -1024,3 +1067,51 @@ def test_cli_import_leaves_process_pool_unloaded():
     # only GBDT training uses a process pool, and fit_gbdt imports it
     assert not _loaded_after_cli_import("concurrent.futures")
     assert not _loaded_after_cli_import("multiprocessing")
+
+
+def _python(code: str, *argv, **kwargs) -> str:
+    """The stdout of a fresh interpreter that runs ``code`` with ``argv``."""
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, check=True, **kwargs).stdout
+
+
+def _package_modules_after(statement: str) -> list:
+    """The ``ecgbeats`` modules and numpy in ``sys.modules`` after a fresh
+    interpreter runs ``statement``."""
+    return _python(f"import sys; {statement}; print(*sorted(m for m in sys.modules "
+                   "if m.split('.')[0] in ('ecgbeats', 'numpy')))").split()
+
+
+def test_package_import_loads_no_module():
+    assert _package_modules_after("import ecgbeats") == ["ecgbeats"]
+
+
+def test_record_io_import_loads_only_its_own_imports():
+    assert ([m for m in _package_modules_after("import ecgbeats.record_io")
+             if m.startswith("ecgbeats")]
+            == ["ecgbeats", "ecgbeats.errors", "ecgbeats.record_io"])
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_cli_import_leaves_the_collector_as_it_found_it(collecting):
+    out = _python(f"import gc; {'gc.enable' if collecting else 'gc.disable'}(); "
+                  "import ecgbeats.cli; print(gc.isenabled())")
+    assert out.strip() == str(collecting)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["synth", "--out-dir", "raw", "--n-beats", "1"], 0),
+    (["synth", "--out-dir", "raw", "--n-beats", "0"], 1),
+    (["report", "--metrics", "missing.csv"], 2),
+])
+def test_run_freezes_the_heap_and_returns_mains_code(tmp_path, argv, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = _python("import gc; from ecgbeats import cli; "
+                  "print(cli.run(), gc.get_freeze_count() > 0)", *argv, cwd=tmp_path, env=env)
+    assert out.split()[-2:] == [str(code), "True"]
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    before = gc.get_freeze_count()
+    assert run("synth", "--out-dir", tmp_path, "--n-beats", 1) == 0
+    assert gc.get_freeze_count() == before

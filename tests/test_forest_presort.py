@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgbeats.model import RfParams, fit_random_forest, forest, save_model
+from ecgbeats.model import forest
 from ecgbeats.model.ensemble import EnsembleModel
+from ecgbeats.model.forest import RfParams, fit_random_forest
+from ecgbeats.model.persist import save_model
 from ecgbeats.model.tree import LEAF, Tree, first_cut, grow, presort
 
 

@@ -26,8 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgbeats.model import GbdtParams, fit_gbdt, gbdt, load_model, save_model
+from ecgbeats.model import gbdt
 from ecgbeats.model.ensemble import EnsembleModel, check_training_data, softmax
+from ecgbeats.model.gbdt import GbdtParams, fit_gbdt
+from ecgbeats.model.persist import load_model, save_model
 from ecgbeats.model.tree import LEAF, Tree, first_cut, presort
 
 

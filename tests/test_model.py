@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgbeats.errors import DataError, ParseError, ValidationError
-from ecgbeats.model import (GbdtParams, RfParams, fit_gbdt,
-                            fit_random_forest, gbdt, grid_search, load_model,
-                            predict_batch, predict_proba, save_model,
-                            stratified_kfold)
-from ecgbeats.model.ensemble import softmax
-from ecgbeats.model.search import stratified_split
+from ecgbeats.model import gbdt
+from ecgbeats.model.ensemble import predict_batch, predict_proba, softmax
+from ecgbeats.model.forest import RfParams, fit_random_forest
+from ecgbeats.model.gbdt import GbdtParams, fit_gbdt
+from ecgbeats.model.persist import load_model, save_model
+from ecgbeats.model.search import grid_search, stratified_kfold, stratified_split
 from tests.helpers import reference_kfold, reference_split
 
 

@@ -17,7 +17,8 @@ from ecgbeats import cli
 from ecgbeats.balance import BalancePlan
 from ecgbeats.encode import MtfConfig
 from ecgbeats.errors import ValidationError
-from ecgbeats.model import GbdtParams, RfParams
+from ecgbeats.model.forest import RfParams
+from ecgbeats.model.gbdt import GbdtParams
 from ecgbeats.record_io import LabelSet, save_feature_matrix
 from ecgbeats.synth import SynthConfig
 

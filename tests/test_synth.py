@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ecgbeats import synth
 from ecgbeats.errors import ValidationError
 from ecgbeats.features import beat_features, record_hrv
-from ecgbeats.model import GbdtParams, fit_gbdt, predict_batch
+from ecgbeats.model.ensemble import predict_batch
+from ecgbeats.model.gbdt import GbdtParams, fit_gbdt
 from ecgbeats.preprocess import normalize_beats, preprocess_record, segment_beats
 from ecgbeats.record_io import write_annotations_csv, write_signal_csv
 from ecgbeats.synth import SynthConfig, generate
