@@ -49,8 +49,12 @@ LABELS = ",".join(LabelSet.symbols)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a flag argparse cannot parse (a value it cannot convert, a bad
-    choice, a missing required flag) as a ValidationError, exit 1, not 2."""
+    """Refuses abbreviated long flags (as do its subparsers), and reports a flag
+    argparse cannot parse (a value it cannot convert, a bad choice, a missing
+    required flag) as a ValidationError, exit 1, not 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")

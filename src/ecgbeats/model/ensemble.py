@@ -76,11 +76,11 @@ def predict_proba(model: EnsembleModel, rows) -> np.ndarray:
     k = model.n_classes
     total = np.zeros((x.shape[0], k))
     for t, tree in enumerate(model.trees):
-        leaf = tree.value[tree.apply(x)]
-        if model.kind == "gbdt":
-            total[:, t % k] += leaf
-        else:
+        if model.kind == "rf":
+            leaf = tree.value[tree.apply(x)]
             total += leaf / leaf.sum(axis=1, keepdims=True)
+        elif tree.value.any():      # adding ±0.0 to a sum from +0.0 keeps its bits
+            total[:, t % k] += tree.value[tree.apply(x)]
     return softmax(total) if model.kind == "gbdt" else total / len(model.trees)
 
 

@@ -43,7 +43,11 @@ output, so the bytes are the same for any worker count. With one usable CPU,
 where fork is unavailable, or for a fit of fewer than ``_POOL_MIN_ROW_ROUNDS``
 rows x n_estimators, the rounds run in-process. The pool forks its workers
 before it starts its own thread, and they run only the tree builder and the
-pool's queues.
+pool's queues. Boosting reaches a fixed point at a round whose K steps are
+all +-0.0 (L1 zeroes every leaf): scores start at +0.0, and a sum is -0.0
+only when both addends are, so every score keeps its bits and each later
+round would grow the same trees. ``_rounds``, the one round loop, closes the
+pool there and repeats that round, byte for byte, without computing it.
 """
 
 from __future__ import annotations
@@ -204,10 +208,9 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
-             n_classes: int | None = None) -> EnsembleModel:
-    """Fit the boosted ensemble; scores start at 0 for every class."""
-    x, y, k = check_training_data(rows, labels, n_classes)
+def _rounds(x, y, k: int, params: GbdtParams):
+    """Each of n_estimators rounds as (its K trees, the logloss after it); the
+    pool closes when the rounds end, fail, reach the fixed point or are dropped."""
     # a single-valued column has no cut; ties keep the lower row id first
     features = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
     order = presort(x, stable=True, columns=features)
@@ -226,7 +229,6 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
     pool = contextlib.nullcontext() if in_process else ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
         initializer=_serve, initargs=(fit,))
-    trees, logloss = [], []
     with pool:
         for r in range(params.n_estimators):
             if in_process:
@@ -237,12 +239,26 @@ def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
                 except BrokenExecutor:
                     raise OSError(f"GBDT worker process died in round {r + 1} "
                                   "(killed, or out of memory)") from None
-            for cls, (tree, step) in enumerate(grown):
-                trees.append(tree)
+            trees, steps = zip(*grown)
+            for cls, step in enumerate(steps):
                 scores[:, cls] += step
             # this round's logloss and the next round's derivatives
             probs = softmax(scores)
-            logloss.append(float(-np.mean(np.log(probs[np.arange(x.shape[0]), y]))))
+            round_ = trees, float(-np.mean(np.log(probs[np.arange(x.shape[0]), y])))
+            if not any(map(np.any, steps)):
+                break
+            yield round_
+        else:
+            return
+    for _ in range(r, params.n_estimators):     # past the pool: the fixed point repeats
+        yield round_
 
+
+def fit_gbdt(rows, labels, params: GbdtParams = GbdtParams(),
+             n_classes: int | None = None) -> EnsembleModel:
+    """Fit the boosted ensemble; scores start at 0 for every class."""
+    x, y, k = check_training_data(rows, labels, n_classes)
+    rounds = list(_rounds(x, y, k, params))
     return EnsembleModel(kind="gbdt", n_classes=k, n_features=x.shape[1],
-                         trees=trees, train_logloss=logloss)
+                         trees=[tree for trees, _ in rounds for tree in trees],
+                         train_logloss=[loss for _, loss in rounds])

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 
 from ecgbeats.errors import DataError, ValidationError
+from ecgbeats.model.ensemble import softmax
+from ecgbeats.model.tree import Tree
 from ecgbeats.record_io import EcgRecord, parse_number
 from ecgbeats.synth import _EDGE_PAD_S, _RR_BEFORE, _RR_COMPENSATORY, _TEMPLATES
 
@@ -160,3 +162,18 @@ def read_pgm(path) -> np.ndarray:
     if len(data) != w * h:
         raise DataError(f"{path}: {len(data)} pixel bytes for a {w} x {h} PGM")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w).copy()
+
+
+def per_tree_gbdt_probs(model, rows):
+    """GBDT probabilities summed over every tree, all-zero trees included."""
+    total = np.zeros((len(rows), model.n_classes))
+    for t, tree in enumerate(model.trees):
+        total[:, t % model.n_classes] += tree.value[tree.apply(rows)]
+    return softmax(total)
+
+
+def routed_trees(monkeypatch):
+    """The trees whose Tree.apply runs from here on, in call order."""
+    routed, apply = [], Tree.apply
+    monkeypatch.setattr(Tree, "apply", lambda tree, x: routed.append(tree) or apply(tree, x))
+    return routed

@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 
 from ecgbeats import cli
+from ecgbeats.model.ensemble import predict_proba
 from ecgbeats.model.forest import RfParams
 from ecgbeats.model.gbdt import GbdtParams
+from ecgbeats.model.persist import load_model
 from ecgbeats.record_io import (BEAT_LEN, MAX_CLASSES, Beats, load_feature_matrix,
                                 read_beats_csv, save_feature_matrix, write_annotations_csv,
                                 write_beats_csv, write_signal_csv)
 from ecgbeats.synth import SynthConfig, generate
+from tests.helpers import per_tree_gbdt_probs, routed_trees
 
 
 def run(*argv):
@@ -319,9 +322,21 @@ FIT_HARD_SEED42_SHA256 = {
 }
 
 
-def test_fit_hard_chain_artifacts_pinned(tmp_path):
-    # the benchmark's own chain, argument for argument: the benchmark compares
-    # artifacts only between the chains of one run, so this pins them across commits
+# written at the default 1000 rounds by the loop that computed every round;
+# the fixed point comes at round 27, so 2,935 of the 3,000 trees hold only +-0.0
+FIT_HARD_SEED42_DEFAULT_ROUNDS_SHA256 = {
+    "gbdt_default.model": "cf4c0f6b7e5e884e76110c7bb6ebe8b6ae73ec4b65dbffec91c4f0391b1b56c8",
+    "eval_default/metrics.csv": "9e04226a921ed9888251af36d8375e5775fe30bccf3dbb133c04d5d137208401",
+    "eval_default/confusion.csv":
+        "fec793d8c3605cdd80c5a15bee42c1a3297f8f080fdbfec53e4cac26949ff4ba",
+}
+
+
+@pytest.fixture(scope="module")
+def fit_hard_chain(tmp_path_factory):
+    """The benchmark's fit-hard chain at seed 42, argument for argument, then a
+    train at the default rounds and an evaluate of that model."""
+    tmp_path = tmp_path_factory.mktemp("fit_hard")
     record = generate(SynthConfig(n_beats=600, noise_std=0.3, rr_jitter=0.15, seed=42))
     write_signal_csv(tmp_path / "signal.csv", record.signal)
     write_annotations_csv(tmp_path / "annotations.csv", record.rpeaks, record.labels)
@@ -336,14 +351,45 @@ def test_fit_hard_chain_artifacts_pinned(tmp_path):
             ["train", "--model", "gbdt", "--features", out / "balanced.csv",
              "--out", out / "gbdt.model", "--n-estimators", 20, "--seed", 42],
             ["train", "--model", "rf", "--features", out / "balanced.csv",
-             "--out", out / "rf.model", "--n-trees", 10, "--seed", 42]):
+             "--out", out / "rf.model", "--n-trees", 10, "--seed", 42],
+            ["train", "--model", "gbdt", "--features", out / "balanced.csv",
+             "--out", out / "gbdt_default.model"],
+            ["evaluate", "--model-file", out / "gbdt_default.model",
+             "--features", out / "features_test.csv", "--out-dir", out / "eval_default"]):
         assert run(*argv) == 0
     # the header and the first 10 beats, copied in text mode as write_encode_input does
     with open(out / "beats.csv") as src, open(out / "encode_input.csv", "w") as dst:
         dst.writelines(line for _, line in zip(range(11), src))
     assert run("encode", "--beats", out / "encode_input.csv", "--out-dir", out / "images") == 0
-    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in FIT_HARD_SEED42_SHA256} == FIT_HARD_SEED42_SHA256
+    return out
+
+
+def sha256_of(root, names):
+    return {name: hashlib.sha256((root / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_fit_hard_chain_artifacts_pinned(fit_hard_chain):
+    # the benchmark compares artifacts only between the chains of one run, so
+    # this pins them across commits
+    assert sha256_of(fit_hard_chain, FIT_HARD_SEED42_SHA256) == FIT_HARD_SEED42_SHA256
+
+
+def test_fit_hard_default_rounds_pinned(fit_hard_chain):
+    # the rounds past the fixed point are copied, not computed, and the model
+    # and its scores keep the bytes of the loop that computed them all
+    assert (sha256_of(fit_hard_chain, FIT_HARD_SEED42_DEFAULT_ROUNDS_SHA256)
+            == FIT_HARD_SEED42_DEFAULT_ROUNDS_SHA256)
+
+
+def test_default_rounds_model_predicts_the_per_tree_sum(fit_hard_chain, monkeypatch):
+    # 2,935 of its 3,000 trees hold only +-0.0: prediction routes none of them
+    model = load_model(fit_hard_chain / "gbdt_default.model")
+    rows = np.vstack([load_feature_matrix(fit_hard_chain / name)[0]
+                      for name in ("features_test.csv", "balanced.csv")])
+    want = per_tree_gbdt_probs(model, rows)
+    routed = routed_trees(monkeypatch)
+    assert predict_proba(model, rows).tobytes() == want.tobytes()
+    assert len(routed) == sum(tree.value.any() for tree in model.trees) == 65
 
 
 class TestDeterminism:
@@ -408,6 +454,49 @@ class TestErrors:
         # argparse's own exit would be 2, the code of malformed data
         assert run(*argv) == 1
         assert capsys.readouterr().err == message
+
+    @staticmethod
+    def shortest_prefixes(parser):
+        """(shortest unique prefix, action) of each long flag of parser that
+        has a prefix no other of its long flags starts with."""
+        flags = [flag for a in parser._actions for flag in a.option_strings
+                 if flag.startswith("--")]
+        for action in parser._actions:
+            for flag in action.option_strings:
+                prefix = next((flag[:n] for n in range(3, len(flag))
+                               if sum(f.startswith(flag[:n]) for f in flags) == 1), None)
+                if flag.startswith("--") and prefix:
+                    yield prefix, action
+
+    @pytest.mark.parametrize("stage", ["synth", "preprocess", "featurize", "balance", "encode",
+                                       "train", "evaluate", "gridsearch", "report"])
+    def test_abbreviated_flag_is_exit_1(self, tmp_path, capsys, stage):
+        # each required flag given in full, then one flag cut to its shortest
+        # unique prefix with its default value, a value argparse would accept
+        parser = cli.build_parser({})
+        stages = next(a for a in parser._actions if a.dest == "stage").choices
+        sub = stages[stage]
+        required = [arg for a in sub._actions if a.required
+                    for arg in (a.option_strings[0], tmp_path / a.dest)]
+        cases = list(self.shortest_prefixes(sub))
+        assert len(cases) >= 2              # --help and at least one of the stage's own
+        for prefix, action in cases:
+            value = [] if action.nargs == 0 else [
+                tmp_path / "x" if action.default is None else action.default]
+            assert run(stage, *required, prefix, *value) == 1, prefix
+            unrecognized = " ".join(map(str, [prefix, *value]))
+            assert (capsys.readouterr().err
+                    == f"error: ecgbeats: unrecognized arguments: {unrecognized}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_abbreviated_config_flag_is_exit_1(self, tmp_path, capsys):
+        (tmp_path / "config.json").write_text("{}")
+        assert [prefix for prefix, _ in self.shortest_prefixes(cli.build_parser({}))] == [
+            "--h", "--c"]
+        assert run("--c", tmp_path / "config.json", "synth", "--out-dir", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:

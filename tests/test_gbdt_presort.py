@@ -19,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -501,3 +502,81 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     assert gbdt._usable_cpus() == 5
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert gbdt._usable_cpus() == 1
+
+
+def separable_problem():
+    """60 rows, 3 classes cut by a sum of two rounded features. Under
+    FIXED_POINT every tree of round 7 has only +-0.0 leaves."""
+    rng = np.random.default_rng(1)
+    x = np.round(rng.normal(size=(60, 3)), 1)
+    return x, np.digitize(x[:, 0] + 0.5 * x[:, 1], [-0.5, 0.5])
+
+
+FIXED_POINT = GbdtParams(n_estimators=12, max_depth=3, min_data_in_leaf=3,
+                         learning_rate=1.0, l1_alpha=1.0)
+
+
+def first_zero_round(trees, k=3):
+    """The 1-based first round whose K trees hold only +-0.0, or None."""
+    rounds = [trees[i:i + k] for i in range(0, len(trees), k)]
+    zero = [not any(tree.value.any() for tree in trees) for trees in rounds]
+    return zero.index(True) + 1 if any(zero) else None
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n_estimators, l1_alpha, fixed_at", [
+    (12, 1.0, 7), (7, 1.0, 7), (5, 1e3, 1)], ids=["mid-fit", "last-round", "round-1"])
+def test_rounds_past_the_fixed_point_equal_the_full_loop(monkeypatch, cpus, n_estimators,
+                                                          l1_alpha, fixed_at):
+    # the copied rounds against the oracle that computes every round, in-process
+    # and in a pool of 2 workers
+    x, y = separable_problem()
+    params = replace(FIXED_POINT, n_estimators=n_estimators, l1_alpha=l1_alpha)
+    assert first_zero_round(reference_fit(x, y, params, 3)[0]) == fixed_at
+    pools = record_pools(monkeypatch)
+    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(gbdt, "_POOL_MIN_ROW_ROUNDS", 0)
+    assert_same_fit(x, y, params)
+    assert pools == ([(2, "fork")] if cpus == 2 else [])
+
+
+def test_no_tree_is_built_after_the_fixed_point(monkeypatch):
+    built = []
+    build = gbdt._build_tree
+    monkeypatch.setattr(gbdt, "_build_tree", lambda *args: built.append(1) or build(*args))
+    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: 1)
+    model = fit_gbdt(*separable_problem(), replace(FIXED_POINT, n_estimators=40))
+    assert len(built) == 3 * 7
+    assert model.n_rounds == 40 and len(model.train_logloss) == 40
+    assert model.trees[-3:] == model.trees[18:21]
+
+
+def test_zero_rounds_give_an_empty_model_and_fork_nothing(monkeypatch):
+    def fork():
+        raise AssertionError("a fit of 0 rounds forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(gbdt, "_POOL_MIN_ROW_ROUNDS", 0)
+    model = fit_gbdt(*separable_problem(), replace(FIXED_POINT, n_estimators=0))
+    assert (model.trees, model.train_logloss, model.n_rounds) == ([], [], 0)
+
+
+def test_the_pool_closes_at_the_fixed_point_and_when_the_consumer_stops(monkeypatch):
+    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(gbdt, "_POOL_MIN_ROW_ROUNDS", 0)
+    x, y = separable_problem()
+    rounds = gbdt._rounds(x, y, 3, FIXED_POINT)
+    next(rounds)
+    assert len(multiprocessing.active_children()) == 2
+    rounds.close()
+    assert multiprocessing.active_children() == []
+    # round 7 is the fixed point: the pool is gone before it is yielded, and
+    # the 5 rounds after it are the same round
+    rounds = gbdt._rounds(x, y, 3, FIXED_POINT)
+    for _ in range(6):
+        next(rounds)
+    assert len(multiprocessing.active_children()) == 2
+    fixed = next(rounds)
+    assert multiprocessing.active_children() == []
+    assert list(rounds) == [fixed] * 5

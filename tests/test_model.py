@@ -12,7 +12,7 @@ from ecgbeats.model.forest import RfParams, fit_random_forest
 from ecgbeats.model.gbdt import GbdtParams, fit_gbdt
 from ecgbeats.model.persist import load_model, save_model
 from ecgbeats.model.search import grid_search, stratified_kfold, stratified_split
-from tests.helpers import reference_kfold, reference_split
+from tests.helpers import per_tree_gbdt_probs, reference_kfold, reference_split, routed_trees
 
 
 def blobs(n_per_class=50, centers=((0, 0), (4, 0), (0, 4)), spread=0.3, seed=0):
@@ -169,6 +169,28 @@ class TestPredict:
 
     def test_argmax_tie_goes_to_lowest_class(self):
         assert np.argmax(softmax(np.zeros((1, 3))), axis=1)[0] == 0
+
+    def test_all_zero_gbdt_trees_are_not_routed_and_keep_the_bits(self, tmp_path,
+                                                                  monkeypatch):
+        # trees 0 and 1 get only -0.0 leaves, tree 4 -0.0 and 0.0 by turns, tree 8
+        # only 0.0; a sum from +0.0 keeps its bits when any of them is added
+        tokens = {0: ["-0.0"], 1: ["-0.0"], 4: ["-0.0", "0.0"], 8: ["0.0"]}
+        lines, tree, leaves = [], None, 0
+        for line in _saved_gbdt_lines(tmp_path, n_estimators=3):
+            words = line.split()
+            if words[0] == "tree":
+                tree = int(words[1])
+            elif words[0] == "n" and words[2] == "leaf" and tree in tokens:
+                line = f"n {words[1]} leaf {tokens[tree][leaves % len(tokens[tree])]}"
+                leaves += 1
+            lines.append(line)
+        model = _load_edited(tmp_path, lines)
+        rows = np.vstack([blobs(seed=4)[0], np.random.default_rng(1).normal(size=(40, 2))])
+        want = per_tree_gbdt_probs(model, rows)
+        routed = routed_trees(monkeypatch)
+        assert predict_proba(model, rows).tobytes() == want.tobytes()
+        assert list(map(id, routed)) == [id(tree) for t, tree in enumerate(model.trees)
+                                         if t not in tokens]
 
 
 class TestRandomForest:
