@@ -464,7 +464,9 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
 def _load_config(argv) -> dict:
     pre = _Parser(prog="ecgbeats", add_help=False)
     pre.add_argument("--config", default=None)
-    ns, _ = pre.parse_known_args(argv)
+    ns, rest = pre.parse_known_args(argv)
+    if rest and rest[0].startswith("-") and rest[0] not in ("-h", "--help"):
+        raise ValidationError(f"ecgbeats: unrecognized arguments: {rest[0]}")  # e.g. --c
     if ns.config is None:
         return {}
     _require_inputs(ns.config)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +41,13 @@ class EnsembleModel:
     def n_rounds(self) -> int:
         """Boosting rounds of a GBDT model (K trees per round)."""
         return len(self.trees) // self.n_classes
+
+    def prefix(self, size: int) -> EnsembleModel:
+        """The model a fit of ``size`` rounds (GBDT) or trees (forest) gives:
+        boosting rounds are sequential, and a forest draws in tree order."""
+        per = self.n_classes if self.kind == "gbdt" else 1
+        return replace(self, trees=self.trees[:size * per],
+                       train_logloss=self.train_logloss[:size])
 
 
 def check_training_data(rows, labels, n_classes: int | None):

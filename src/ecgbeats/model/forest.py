@@ -26,6 +26,7 @@ from .tree import Tree, _keep, first_cut, grow, presort
 
 @dataclass
 class RfParams:
+    SIZE = "n_trees"        # not a field: a fit of fewer trees is a prefix
     n_trees: int = 100
     max_depth: int | None = None
     min_samples_leaf: int = 1

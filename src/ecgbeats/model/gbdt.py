@@ -67,6 +67,7 @@ from .tree import first_cut, grow, presort
 class GbdtParams:
     """Defaults are the best configuration reported for this task."""
 
+    SIZE = "n_estimators"   # not a field: a fit of fewer rounds is a prefix
     learning_rate: float = 0.5
     max_depth: int = 10
     n_estimators: int = 1000

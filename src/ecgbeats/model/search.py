@@ -10,7 +10,7 @@ fold only; validation folds are never resampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,17 +75,23 @@ def grid_search(rows, labels, candidates, fit, folds: int = 3, seed: int = 0,
                 balance_plan: BalancePlan | None = None, n_classes: int | None = None):
     """Evaluate every candidate, return (best_params, results).
 
-    Each fold's training split is balanced once and every candidate is fit on
-    it with ``fit(rows, labels, params, n_classes=n_classes)``, the ensemble's
-    fit function for the candidates' params class. ``n_classes`` is K for
-    every model (default: inferred from the labels). Best is the highest mean
-    macro F1 over folds; ties go to the earliest candidate in grid order.
+    Candidates equal but for the field their class's ``SIZE`` names form a
+    group. Each fold's training split is balanced once, and each group is fit
+    on it once, at its largest size, with ``fit(rows, labels, params,
+    n_classes=n_classes)``, the ensemble's fit function for the params class;
+    each member is scored on the model's ``prefix`` of its size. ``n_classes``
+    is K for every model (default: inferred from the labels). Best is the
+    highest mean macro F1 over folds; ties go to the earliest candidate.
     """
     rows = np.asarray(rows, dtype=float)
     y = np.asarray(labels, dtype=int)
     if not candidates:
         raise ValidationError("empty parameter grid")
     fold_idx = stratified_kfold(y, folds, seed)
+    size = [getattr(params, params.SIZE) for params in candidates]
+    groups = {}     # repr keeps -0.0 and 0.0 apart
+    for i, params in enumerate(candidates):
+        groups.setdefault(repr(replace(params, **{params.SIZE: 1})), []).append(i)
 
     scores = [[] for _ in candidates]
     for valid_idx in fold_idx:
@@ -93,11 +99,14 @@ def grid_search(rows, labels, candidates, fit, folds: int = 3, seed: int = 0,
         x_train, y_train = rows[train_idx], y[train_idx]
         if balance_plan is not None:
             x_train, y_train = apply_plan(x_train, y_train, balance_plan)
-        for params, fold_f1 in zip(candidates, scores):
-            model = fit(x_train, y_train, params, n_classes=n_classes)
-            pred, _ = predict_batch(model, rows[valid_idx])
-            cm = confusion_matrix(y[valid_idx], pred, model.n_classes)
-            fold_f1.append(macro_metrics(cm)[-1])
+        for members in groups.values():
+            longest = candidates[max(members, key=size.__getitem__)]
+            model = fit(x_train, y_train, longest, n_classes=n_classes)
+            for i in members:
+                pred, _ = predict_batch(model.prefix(size[i]), rows[valid_idx])
+                cm = confusion_matrix(y[valid_idx], pred, model.n_classes)
+                scores[i].append(macro_metrics(cm)[-1])
+            del model   # one group's model at a time
     results = [GridResult(index=index, params=params, fold_f1=fold_f1,
                           mean_f1=float(np.mean(fold_f1)))
                for index, (params, fold_f1) in enumerate(zip(candidates, scores))]

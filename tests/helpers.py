@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 
+from ecgbeats.balance import apply_plan
 from ecgbeats.errors import DataError, ValidationError
-from ecgbeats.model.ensemble import softmax
+from ecgbeats.metrics import confusion_matrix, macro_metrics
+from ecgbeats.model.ensemble import predict_batch, softmax
 from ecgbeats.model.tree import Tree
 from ecgbeats.record_io import EcgRecord, parse_number
 from ecgbeats.synth import _EDGE_PAD_S, _RR_BEFORE, _RR_COMPENSATORY, _TEMPLATES
@@ -130,6 +132,27 @@ def reference_split(labels, test_fraction, seed):
         for pos, sample in enumerate(idx):
             (test if pos < n_test else train).append(sample)
     return np.sort(np.asarray(train, dtype=int)), np.sort(np.asarray(test, dtype=int))
+
+
+def reference_grid_search(rows, labels, candidates, fit, folds, seed,
+                          balance_plan=None, n_classes=None):
+    """``search.grid_search`` fitting every candidate on every fold's
+    (balanced) training split; returns (best params, each candidate's fold
+    macro F1s). Ties go to the earliest candidate."""
+    rows, y = np.asarray(rows, dtype=float), np.asarray(labels, dtype=int)
+    scores = [[] for _ in candidates]
+    for valid_idx in reference_kfold(y, folds, seed):
+        train_idx = np.delete(np.arange(y.shape[0]), valid_idx)
+        x_train, y_train = rows[train_idx], y[train_idx]
+        if balance_plan is not None:
+            x_train, y_train = apply_plan(x_train, y_train, balance_plan)
+        for params, fold_f1 in zip(candidates, scores):
+            model = fit(x_train, y_train, params, n_classes=n_classes)
+            pred, _ = predict_batch(model, rows[valid_idx])
+            cm = confusion_matrix(y[valid_idx], pred, model.n_classes)
+            fold_f1.append(macro_metrics(cm)[-1])
+    best = max(range(len(candidates)), key=lambda i: (np.mean(scores[i]), -i))
+    return candidates[best], scores
 
 
 def load_image_f32(path, size: int = 32) -> np.ndarray:

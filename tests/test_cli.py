@@ -254,8 +254,8 @@ class TestModelKind:
         grid.write_text('[{"n_trees": 1}]')
         assert run("gridsearch", "--model", "rf", "--features", features, "--grid", grid,
                    "--folds", 2, "--out-dir", tmp_path / "gs_rf") == 0
-        # 2 folds x 2 candidates, and 2 folds x 1 candidate
-        assert [len(calls) for calls in fits.values()] == [1 + 4, 1 + 2]
+        # 2 folds x 1 size group (one fit at n_estimators 2), and 2 folds x 1 candidate
+        assert [len(calls) for calls in fits.values()] == [1 + 2, 1 + 2]
         assert all(isinstance(p, GbdtParams) for p in fits["fit_gbdt"])
         assert all(isinstance(p, RfParams) for p in fits["fit_random_forest"])
 
@@ -497,6 +497,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("prefix", ["--c", "--conf", "--h"])
+    def test_abbreviated_top_level_flag_is_named(self, tmp_path, capsys, prefix):
+        # not "invalid choice" for the config path: the message names the flag
+        (tmp_path / "cfg.json").write_text("{}")
+        assert run(prefix, tmp_path / "cfg.json", "synth", "--out-dir", tmp_path / "x") == 1
+        assert capsys.readouterr() == (
+            "", f"error: ecgbeats: unrecognized arguments: {prefix}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -11,6 +11,7 @@ model bytes are equal too.
 
 import itertools
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -224,3 +225,19 @@ def test_first_maximum_on_a_tie_falls_back_to_the_legal_best(
     before, after = masked[0]
     assert (before > 0) == (min_samples_leaf > 1)
     assert after > before and got.feature[0] == root_feature
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_smaller_forest_is_a_prefix(seed):
+    # a forest draws each tree's bootstrap and node features in tree order
+    # from one seeded stream, so grid_search scores each size on a prefix
+    rng = np.random.default_rng(4)
+    x = np.round(rng.normal(size=(120, 5)), 1)
+    y = np.digitize(x[:, 0] + x[:, 1] + rng.normal(0.0, 0.5, 120), [-0.5, 0.5])
+    params = RfParams(n_trees=6, seed=seed)
+    longest = fit_random_forest(x, y, params)
+    for m in (1, 3, params.n_trees):
+        want = fit_random_forest(x, y, replace(params, n_trees=m))
+        got = longest.prefix(m)
+        assert len(got.trees) == m and got.train_logloss == []
+        assert saved_bytes(got) == saved_bytes(want)

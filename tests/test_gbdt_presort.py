@@ -580,3 +580,24 @@ def test_the_pool_closes_at_the_fixed_point_and_when_the_consumer_stops(monkeypa
     fixed = next(rounds)
     assert multiprocessing.active_children() == []
     assert list(rounds) == [fixed] * 5
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pooled"])
+@pytest.mark.parametrize("l1_alpha, fixed_at", [(1.0, 7), (0.0, None)],
+                         ids=["fixed-point-at-7", "no-fixed-point"])
+def test_a_fit_of_fewer_rounds_is_a_prefix(monkeypatch, cpus, l1_alpha, fixed_at):
+    # grid_search scores every size of a group on one fit's prefixes. The cuts
+    # fall before, at and past the fixed point, and at the whole fit
+    x, y = separable_problem()
+    params = replace(FIXED_POINT, l1_alpha=l1_alpha)
+    monkeypatch.setattr(gbdt, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(gbdt, "_POOL_MIN_ROW_ROUNDS", 0)
+    longest = fit_gbdt(x, y, params)
+    assert first_zero_round(longest.trees) == fixed_at
+    for m in (0, 1, 4, 7, 9, params.n_estimators):
+        want = fit_gbdt(x, y, replace(params, n_estimators=m))
+        got = longest.prefix(m)
+        assert (got.kind, got.n_classes, got.n_features) == ("gbdt", 3, 3)
+        assert got.n_rounds == len(got.train_logloss) == m
+        assert saved_bytes(got) == saved_bytes(want)
+        assert got.train_logloss == want.train_logloss

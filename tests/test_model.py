@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from ecgbeats.model.forest import RfParams, fit_random_forest
 from ecgbeats.model.gbdt import GbdtParams, fit_gbdt
 from ecgbeats.model.persist import load_model, save_model
 from ecgbeats.model.search import grid_search, stratified_kfold, stratified_split
-from tests.helpers import per_tree_gbdt_probs, reference_kfold, reference_split, routed_trees
+from tests.helpers import (per_tree_gbdt_probs, reference_grid_search, reference_kfold,
+                           reference_split, routed_trees)
 
 
 def blobs(n_per_class=50, centers=((0, 0), (4, 0), (0, 4)), spread=0.3, seed=0):
@@ -566,6 +568,55 @@ class TestGridSearch:
             _, (alone,) = grid_search(rows, labels, [params], fit_gbdt, folds=4, seed=2,
                                       balance_plan=plan)
             assert result.fold_f1 == alone.fold_f1
+
+    # entries differing only in size share a fit; -0.0 and 0.0 stay apart
+    GRID_BASES = {
+        (fit_gbdt, GbdtParams): [dict(max_depth=2, min_data_in_leaf=2),
+                                 dict(max_depth=3, min_data_in_leaf=2, l1_alpha=0.0),
+                                 dict(max_depth=3, min_data_in_leaf=2, l1_alpha=-0.0),
+                                 dict(max_depth=1, min_data_in_leaf=4, learning_rate=1.0)],
+        (fit_random_forest, RfParams): [dict(), dict(seed=3), dict(max_depth=2),
+                                        dict(max_depth=2, seed=3, min_samples_leaf=3)],
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(list(GRID_BASES)),
+           entries=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)),
+                            min_size=1, max_size=6),
+           folds=st.integers(2, 3), seed=st.integers(0, 99), balance=st.booleans())
+    def test_size_groups_equal_the_per_candidate_loop(self, kind, entries, folds, seed,
+                                                      balance):
+        from ecgbeats.balance import BalancePlan
+        fit, param_cls = kind
+        smallest = 0 if param_cls is GbdtParams else 1
+        # the first entry again, as a duplicate of its own
+        entries = [*entries, entries[0]]
+        candidates = [param_cls(**{**self.GRID_BASES[kind][base],
+                                   param_cls.SIZE: max(size, smallest)})
+                      for base, size in entries]
+        rows, labels = blobs(n_per_class=12, spread=1.5, seed=seed)
+        plan = (BalancePlan(targets={0: 8, 1: 5, 2: 8}, k_neighbors=2, seed=seed)
+                if balance else None)
+        fits = []
+
+        def spy(*args, **kwargs):
+            fits.append(args[2])
+            return fit(*args, **kwargs)
+
+        best, results = grid_search(rows, labels, candidates, spy, folds=folds, seed=seed,
+                                    balance_plan=plan)
+        want_best, want_f1 = reference_grid_search(rows, labels, candidates, fit, folds,
+                                                   seed, balance_plan=plan)
+        assert [r.fold_f1 for r in results] == want_f1
+        assert best is want_best
+        # per fold, one fit per group, at the group's largest size, in grid order
+        largest = {}
+        for (base, _), params in zip(entries, candidates):
+            largest[base] = max(largest.get(base, 0), getattr(params, param_cls.SIZE))
+        assert [(getattr(p, param_cls.SIZE), replace(p, **{param_cls.SIZE: 1}))
+                for p in fits] == folds * [
+            (size, param_cls(**{**self.GRID_BASES[kind][base], param_cls.SIZE: 1}))
+            for base, size in largest.items()]
 
     def test_in_fold_balancing(self):
         from ecgbeats.balance import BalancePlan
