@@ -127,6 +127,14 @@ def _write_manifest(target, args, inputs) -> None:
     _write_json(f"{target}.manifest.json", payload)
 
 
+def _load_features(path) -> tuple:
+    """A feature file's (rows, labels); a file with no rows is a DataError."""
+    rows, labels = record_io.load_feature_matrix(path)
+    if not len(labels):
+        raise DataError(f"{path}: no feature rows")
+    return rows, labels
+
+
 def _label_set(args) -> LabelSet:
     return LabelSet(tuple(s.strip() for s in args.labels.split(",")))
 
@@ -231,7 +239,7 @@ def cmd_balance(args) -> tuple:
     plan = balance_mod.BalancePlan(targets=_parse_targets(args.targets, label_set),
                                    k_neighbors=args.k_neighbors, seed=args.seed)
     inputs = _require_inputs(args.features)
-    rows, labels = record_io.load_feature_matrix(args.features)
+    rows, labels = _load_features(args.features)
     metrics_mod.check_labels(labels, len(label_set))
     rows, labels = balance_mod.apply_plan(rows, labels, plan)
     record_io.save_feature_matrix(rows, labels, args.out)
@@ -253,7 +261,7 @@ def cmd_encode(args) -> tuple:
     stems = [f"beat_{i:05d}" for i in range(len(beats))]
     for start in range(0, len(beats), ENCODE_CHUNK):
         images = encode_beat(beats.samples[start:start + ENCODE_CHUNK], cfg)
-        for stem, image in zip(stems[start:], images):
+        for stem, image in zip(stems[start:start + ENCODE_CHUNK], images):
             record_io.export_image(image, out / stem)
     record_io.write_table(out / "index.csv", ["stem", "label"],
                           zip(stems, beats.label.tolist()))
@@ -267,7 +275,7 @@ def cmd_train(args) -> tuple:
     params = param_cls(**{f.name: flags[f.name] for f in fields(param_cls)})
     label_set = _label_set(args)
     inputs = _require_inputs(args.features)
-    rows, labels = record_io.load_feature_matrix(args.features)
+    rows, labels = _load_features(args.features)
     model = fit(rows, labels, params, n_classes=len(label_set))
     save_model(model, args.out)
     return inputs, [args.out], (f"train: fitted {args.model} on {len(labels)} rows "
@@ -277,9 +285,7 @@ def cmd_train(args) -> tuple:
 def cmd_evaluate(args) -> tuple:
     inputs = _require_inputs(args.model_file, args.features)
     model = load_model(args.model_file)
-    rows, labels = record_io.load_feature_matrix(args.features)
-    if not len(labels):
-        raise DataError(f"{args.features}: no feature rows to evaluate")
+    rows, labels = _load_features(args.features)
     pred, _ = predict_batch(model, rows)
     cm = metrics_mod.confusion_matrix(labels, pred, model.n_classes)
     report = metrics_mod.ModelReport(args.name or model.kind, *metrics_mod.macro_metrics(cm))
@@ -305,7 +311,7 @@ def cmd_gridsearch(args) -> tuple:
         candidates = [param_cls(**{**seed, **combo}) for combo in raw_grid]
     except (TypeError, ValidationError) as exc:
         raise ValidationError(f"{args.grid}: {exc}") from None
-    rows, labels = record_io.load_feature_matrix(args.features)
+    rows, labels = _load_features(args.features)
     metrics_mod.check_labels(labels, len(label_set))
 
     best, results = grid_search(rows, labels, candidates, fit, folds=args.folds,

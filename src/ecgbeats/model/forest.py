@@ -5,12 +5,11 @@ with replacement), leaves store raw class-count histograms, and prediction
 averages the normalized histograms over trees. Training is serial and all
 draws come from one seeded PCG64 stream, so fits are reproducible. A tree
 grows with ``tree.grow`` over its in-bag rows, each weighted by its bootstrap
-count, on the fit's one ``tree.presort`` of every column (the per-node
-feature draw spans them all): unstable (~3x faster), as the scan takes no cut
-between tied values. A node scans its drawn features' rows in that order and
-reads their values from x only through ``tree.first_cut``. Counts are
-integers, so the trees equal those of a per-node sort of the bootstrap sample
-bit for bit.
+count, on the fit's one ``tree.presort``: unstable (~3x faster), as the scan
+takes no cut between tied values. A node draws features from all columns,
+scans the drawn ones presort kept in their row order, and reads their values
+from x only through ``tree.first_cut``. Counts are integers, so the trees
+equal those of a per-node sort of the bootstrap sample bit for bit.
 """
 
 from __future__ import annotations
@@ -43,10 +42,10 @@ class RfParams:
         ])
 
 
-def _best_gini_split(x, wy, order, counts, min_leaf, feats):
+def _best_gini_split(x, wy, rows, counts, min_leaf, feats):
     """Best (feature, threshold) minimizing weighted child Gini, or None.
 
-    order (F, m) holds the node's rows in value order, wy (K, n) each row's
+    rows (k, m) lists the node's rows by each column feats, wy (K, n) each row's
     bootstrap count in its class's row, counts the node's class counts.
     Minimizing n_L*gini_L + n_R*gini_R is equivalent to maximizing
     sum_c c_L^2 / n_L + sum_c c_R^2 / n_R; a split is accepted only when it
@@ -54,10 +53,9 @@ def _best_gini_split(x, wy, order, counts, min_leaf, feats):
     (feature, position) scores: lowest feature index, then lowest threshold.
     """
     n = counts.sum()
-    if n < 2 * min_leaf:
+    if n < 2 * min_leaf or not len(feats):
         return None
-    rows = order[feats]                  # (k, m); a node that is not pure has m >= 2
-    cuts = rows[:, :-1]                  # a cut after each but the last row
+    cuts = rows[:, :-1]                  # a cut after each but the last row; m >= 2 if not pure
     n_left = left_sq = right_sq = 0
     # one class at a time: a (K, k, m) block summed over K is ~3x slower
     for c, total in enumerate(counts):
@@ -77,7 +75,7 @@ def _best_gini_split(x, wy, order, counts, min_leaf, feats):
     return int(feats[col]), threshold
 
 
-def _build_tree(x, y, weights, order, n_classes, params: RfParams, rng) -> Tree:
+def _build_tree(x, y, weights, at, order, n_classes, params: RfParams, rng) -> Tree:
     """One tree over the rows with a nonzero bootstrap count in ``weights``."""
     n_features = x.shape[1]
     k_feats = min(params.features_per_split or max(1, round(np.sqrt(n_features))), n_features)
@@ -88,7 +86,9 @@ def _build_tree(x, y, weights, order, n_classes, params: RfParams, rng) -> Tree:
         pure = np.count_nonzero(counts) <= 1
         if not pure and (params.max_depth is None or depth < params.max_depth):
             feats = np.sort(rng.choice(n_features, size=k_feats, replace=False))
-            split = _best_gini_split(x, wy, order, counts, params.min_samples_leaf, feats)
+            feats = feats[at[feats] >= 0]
+            split = _best_gini_split(x, wy, order[at[feats]], counts,
+                                     params.min_samples_leaf, feats)
             if split is not None:
                 return split, np.zeros_like(counts)
         return None, counts
@@ -102,9 +102,11 @@ def fit_random_forest(rows, labels, params: RfParams = RfParams(),
     x, y, k = check_training_data(rows, labels, n_classes)
     rng = np.random.default_rng(params.seed)
     n = x.shape[0]
-    order = presort(x, stable=False)
+    features, order = presort(x, stable=False)
+    at = np.full(x.shape[1], -1)             # column f's rows: order[at[f]], if not -1
+    at[features] = np.arange(len(features))
     trees = []
     for _ in range(params.n_trees):
         weights = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        trees.append(_build_tree(x, y, weights, order, k, params, rng))
+        trees.append(_build_tree(x, y, weights, at, order, k, params, rng))
     return EnsembleModel(kind="rf", n_classes=k, n_features=x.shape[1], trees=trees)

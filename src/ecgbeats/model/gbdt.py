@@ -13,19 +13,18 @@ rate. Trees grow depth-wise; no histogram binning, no feature subsampling.
 
 The scan is presorted, as in the exact greedy algorithm of XGBoost (Chen &
 Guestrin, KDD 2016): a fit's one sort is ``tree.presort``, stable, into int32,
-of the columns with more than one value (a single-valued column has no cut;
-split features keep x's column ids), and ``tree.grow`` hands each node that
-one row order, filtered to its rows in ascending value order (ties to the
-lower row id), so no node sorts. Each tree packs the derivatives as one
-complex column c = h + ig, so a block of features is one gather and one
-cumsum of (H_L, G_L); a complex add is the two real adds, in the same order,
-so every prefix sum and gain keeps its bits. Prefix sums and gains are
-evaluated only at the positions that leave min_data_in_leaf rows on each
-side, a block of features at a time in buffers formed in place, so the
-scan's memory is bounded whatever the node's size. Feature values are read
-from x only at the block's first maximum, and for a whole feature only when
-that maximum lands on a tie (``tree.first_cut``). Node totals are summed over
-the node's rows in ascending row order, so the trees equal those of a
+of the columns a tree can cut (split features keep x's column ids), and
+``tree.grow`` hands each node that one row order, filtered to its rows in
+ascending value order (ties to the lower row id), so no node sorts. Each tree
+packs the derivatives as one complex column c = h + ig, so a block of features
+is one gather and one cumsum of (H_L, G_L); a complex add is the two real
+adds, in the same order, so every prefix sum and gain keeps its bits. Prefix
+sums and gains are evaluated only at the positions that leave min_data_in_leaf
+rows on each side, a block of features at a time in buffers formed in place,
+so the scan's memory is bounded whatever the node's size. Feature values are
+read from x only at the block's first maximum, and for a whole feature only
+when that maximum lands on a tie (``tree.first_cut``). Node totals are summed
+over the node's rows in ascending row order, so the trees equal those of a
 per-node stable sort bit for bit, and fits are deterministic given the input
 order, so models are byte-reproducible.
 
@@ -212,9 +211,7 @@ def _usable_cpus() -> int:
 def _rounds(x, y, k: int, params: GbdtParams):
     """Each of n_estimators rounds as (its K trees, the logloss after it); the
     pool closes when the rounds end, fail, reach the fixed point or are dropped."""
-    # a single-valued column has no cut; ties keep the lower row id first
-    features = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
-    order = presort(x, stable=True, columns=features)
+    features, order = presort(x, stable=True)      # ties keep the lower row id first
     scores = np.zeros((x.shape[0], k))
     probs = softmax(scores)
     fit = (x, y, order, features, params)

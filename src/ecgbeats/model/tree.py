@@ -5,11 +5,12 @@ everywhere: a row goes left iff row[feature] <= threshold. Every node has one
 payload in ``value``: a regression tree (GBDT) holds a (n_nodes,) float64
 leaf score, a classification tree (random forest) a (n_nodes, K) int64
 training-count histogram. Split nodes hold a zero payload. A tree predicts
-``tree.value[tree.apply(x)]``. Both ensembles share ``presort``, a fit's one
-sort; ``grow``, which owns the node list, the routing and the one int32 row
-order each node carries; and ``first_cut``, the first maximum of a scan's
-scores among cuts between distinct values, which reads feature values from x
-only where the maximum lands. An ensemble supplies its split rule and payload.
+``tree.value[tree.apply(x)]``. Both ensembles share ``presort``, the columns a
+fit can cut and their row orders; ``grow``, which owns the node list, the
+routing and the one int32 row order each node carries; and ``first_cut``, the
+first maximum of a scan's scores among cuts between distinct values, which
+reads feature values from x only where the maximum lands. An ensemble
+supplies its split rule and payload.
 """
 
 from __future__ import annotations
@@ -57,15 +58,16 @@ class Tree:
             node[active] = np.where(go_left, self.left[rows], self.right[rows])
 
 
-def presort(x, stable: bool, columns=None) -> np.ndarray:
-    """A fit's (F, N) int32 row order: row i lists x's rows by ascending
-    x[:, columns[i]] (every column by default), ties by row id if stable. One
-    column at a time: no (F, N) int64 or column copy is made."""
-    columns = range(x.shape[1]) if columns is None else columns
-    order = np.empty((len(columns), x.shape[0]), dtype=np.int32)
-    for i, f in enumerate(columns):
+def presort(x, stable: bool) -> tuple:
+    """A fit's one preparation: (features, order), x's columns with more than
+    one value (a single-valued column has no cut) and their int32 row orders:
+    order[i] lists x's rows by ascending x[:, features[i]], ties by row id if
+    stable. One column at a time: no (F, N) int64 or column copy is made."""
+    features = np.flatnonzero(x.max(axis=0) > x.min(axis=0))
+    order = np.empty((len(features), x.shape[0]), dtype=np.int32)
+    for i, f in enumerate(features):
         order[i] = np.argsort(x[:, f], kind="stable" if stable else None)
-    return order
+    return features, order
 
 
 def first_cut(score, rows, columns, x):
@@ -91,9 +93,9 @@ def first_cut(score, rows, columns, x):
 
 
 def _keep(order, mask):
-    """order (F, n) at the entries where mask holds, as (F, m)."""
+    """order (F, n) at the entries where mask holds, as (F, m); F may be 0."""
     # flatnonzero + take is ~4x faster than boolean indexing on a random mask
-    return order.take(np.flatnonzero(mask)).reshape(order.shape[0], -1)
+    return order.take(np.flatnonzero(mask)).reshape(len(order), -1 if len(order) else 0)
 
 
 def grow(x, rows, order, decide) -> Tree:

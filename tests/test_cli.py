@@ -295,6 +295,26 @@ RECORD_3000_IMAGE_DIGESTS = (
     "bdcd63a83cb206f5614e98a218fdb2593c41013220a440be98f70637ad3f1a9b")
 
 
+def test_encode_in_chunks_of_two_writes_the_default_files(tmp_path, monkeypatch):
+    # 5 beats in chunks of 2: the last chunk is short, and each chunk names
+    # its images from its own slice of the stem list
+    rng = np.random.default_rng(6)
+    beats = tmp_path / "beats.csv"
+    write_beats_csv(beats, Beats(samples=rng.uniform(-1.0, 1.0, (5, BEAT_LEN)),
+                                 rpeak=np.arange(1, 6) * 200, label=np.arange(5) % 3,
+                                 rr_prev=np.ones(5), rr_next=np.ones(5), raw_amp=np.ones(5)))
+
+    def written(out):
+        assert run("encode", "--beats", beats, "--out-dir", out) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()
+                if not p.name.endswith(".manifest.json")}
+
+    want = written(tmp_path / "default")
+    monkeypatch.setattr(cli, "ENCODE_CHUNK", 2)
+    got = written(tmp_path / "chunked")
+    assert len(got) == 4 * 5 + 1 and got == want
+
+
 def test_encode_of_3000_noisy_beats_matches_pinned_digests(tmp_path):
     # several blocks of cli.ENCODE_CHUNK beats and a partial one
     assert run("synth", "--out-dir", tmp_path / "raw", "--n-beats", 1200,
@@ -948,6 +968,76 @@ class TestErrors:
         assert code == 2
         assert f"{empty}: no feature rows" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("stage", ["train", "balance", "evaluate", "gridsearch"])
+    def test_a_feature_file_with_no_rows_ends_alike_in_every_stage(self, tmp_path, capsys,
+                                                                    stage):
+        empty = tmp_path / "empty.csv"
+        save_feature_matrix(np.empty((0, 76)), np.empty(0, dtype=int), empty)
+        model, grid = tmp_path / "m.txt", tmp_path / "grid.json"
+        model.write_text("ecgbeats-model 1\nkind gbdt\nn_classes 3\n"
+                         "n_features 76\nn_rounds 0\nn_trees 0\nend\n")
+        grid.write_text('[{"n_estimators": 1}]')
+        out = tmp_path / "out"
+        argv = {"train": ["--out", out], "balance": ["--out", out],
+                "evaluate": ["--model-file", model, "--out-dir", out],
+                "gridsearch": ["--grid", grid, "--out-dir", out]}[stage]
+        before = sorted(tmp_path.rglob("*"))
+        assert run(stage, "--features", empty, *argv) == 2
+        assert capsys.readouterr().err == f"error: {empty}: no feature rows\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("prefix, text, message", [
+        ("end", None, "truncated model file"),
+        ("end", "ending", "missing end marker"),
+        ("kind ", "kind svm", "unknown model kind 'svm'"),
+        ("n 1 leaf ", "n 1 leaf 0.5 0.5", "leaf needs 1 field(s), found 2"),
+        ("tree 0 ", "tree 0 leaves 3", "expected 'tree 0 nodes <M>'"),
+        ("n_features ", "n_feature 76", "expected 'n_features', found 'n_feature'"),
+    ])
+    def test_model_file_refusals_are_one_error_line(self, tmp_path, capsys, pipeline_dir,
+                                                    prefix, text, message):
+        model = tmp_path / "m.txt"
+        assert run("train", "--features", pipeline_dir / "features_train.csv",
+                   "--out", model, "--n-estimators", 1, "--max-depth", 1) == 0
+        lines = model.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[at:at + 1] = [] if text is None else [text]
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run("evaluate", "--model-file", model,
+                   "--features", pipeline_dir / "features_test.csv",
+                   "--out-dir", tmp_path / "eval")
+        assert code == 2
+        where = f"{model}" if text is None else f"{model}:{at + 1}"
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("text", ["{}", "[]"])
+    def test_grid_that_is_no_non_empty_list_is_one_error_line(self, tmp_path, capsys,
+                                                              pipeline_dir, text):
+        grid = tmp_path / "grid.json"
+        grid.write_text(text)
+        code = run("gridsearch", "--features", pipeline_dir / "features_train.csv",
+                   "--grid", grid, "--out-dir", tmp_path / "gs")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {grid}: expected a non-empty JSON list of parameter objects\n")
+        assert not (tmp_path / "gs").exists()
+
+    @pytest.mark.parametrize("row", ["250", "N"])
+    def test_annotation_row_of_one_column_names_its_line(self, tmp_path, capsys, row):
+        d = tmp_path / "raw"
+        assert run("synth", "--out-dir", d, "--n-beats", 5) == 0
+        ann = d / "annotations.csv"
+        lines = ann.read_text().splitlines()
+        lines.insert(3, row)
+        ann.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("preprocess", "--signal", d / "signal.csv", "--annotations", ann,
+                   "--fs", 250, "--out-dir", tmp_path / "pre") == 2
+        assert capsys.readouterr().err == f"error: {ann}:4: expected 2 columns, got 1\n"
+        assert not (tmp_path / "pre").exists()
 
     @pytest.mark.parametrize("n_classes", [65, 3000, 100000000])
     def test_evaluate_refuses_a_model_past_the_class_bound(self, tmp_path, capsys,

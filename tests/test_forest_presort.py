@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from ecgbeats.model import forest
 from ecgbeats.model.ensemble import EnsembleModel
 from ecgbeats.model.forest import RfParams, fit_random_forest
+from ecgbeats.model.gbdt import GbdtParams, fit_gbdt
 from ecgbeats.model.persist import save_model
 from ecgbeats.model.tree import LEAF, Tree, first_cut, grow, presort
 
@@ -153,8 +154,8 @@ def test_trees_equal_per_node_sort_oracle(problem):
 @settings(max_examples=100, deadline=None)
 @given(tie_heavy_problems())
 def test_unstable_presort_sorts_each_column(problem):
-    x = problem[0]
-    order = presort(x, stable=False)
+    features, order = presort(problem[0], stable=False)
+    x = problem[0][:, features]
     assert order.dtype == np.int32 and order.shape == x.shape[::-1]
     for f, rows in enumerate(order):
         np.testing.assert_array_equal(np.sort(rows), np.arange(x.shape[0]))
@@ -186,6 +187,37 @@ def test_deep_trees_equal_oracle():
     assert_same_fit(x, y, RfParams(n_trees=2, min_samples_leaf=4, seed=9))
 
 
+@pytest.mark.parametrize("features_per_split", [1, None, 8])
+def test_single_valued_columns_are_drawn_but_never_scanned(monkeypatch, features_per_split):
+    # columns 2, 5 and 6 hold one value each, as a one-record set's RR
+    # statistics do: nodes still draw them, so the stream and the trees stay
+    # the oracle's, but presort keeps no order for them and no scan sees them
+    rng = np.random.default_rng(5)
+    x = np.round(rng.normal(size=(200, 8)), 1)
+    x[:, [2, 5, 6]] = [0.8, -1.5, 0.02]
+    y = np.digitize(x[:, 0] + x[:, 3] + rng.normal(0.0, 0.5, 200), [-0.5, 0.5])
+    assert presort(x, stable=False)[0].tolist() == [0, 1, 3, 4, 7]
+    scanned = set()
+
+    def spied(score, rows, feats, x):
+        scanned.update(np.asarray(feats).tolist())
+        return first_cut(score, rows, feats, x)
+
+    monkeypatch.setattr(forest, "first_cut", spied)
+    assert_same_fit(x, y, RfParams(n_trees=3, features_per_split=features_per_split, seed=2))
+    assert scanned and not scanned & {2, 5, 6}
+
+
+def test_a_set_of_single_valued_columns_grows_one_leaf_trees():
+    x = np.tile([0.5, -2.0, 7.0], (30, 1))
+    y = np.arange(30) % 3
+    rf = fit_random_forest(x, y, RfParams(n_trees=3, features_per_split=3))
+    boosted = fit_gbdt(x, y, GbdtParams(n_estimators=2, min_data_in_leaf=1))
+    for model in (rf, boosted):
+        assert [tree.n_nodes for tree in model.trees] == [1] * len(model.trees)
+    assert [tree.value[0].sum() for tree in rf.trees] == [30] * 3   # each bootstrap sample
+
+
 # sorted by column 0, rows 2-7 tie at 1.0 and the labels change inside that
 # run: the best score is an illegal cut between equal values. Column 1's legal
 # cut beats column 0's legal ones.
@@ -215,9 +247,9 @@ def test_first_maximum_on_a_tie_falls_back_to_the_legal_best(
     x, y = np.column_stack(columns), TIED_RUN_LABELS
     params = RfParams(max_depth=2, min_samples_leaf=min_samples_leaf,
                       features_per_split=x.shape[1], seed=4)
-    order = presort(x, stable=False)
-    got = forest._build_tree(x, y, np.ones(len(y), dtype=int), order, 2, params,
-                             np.random.default_rng(params.seed))
+    _, order = presort(x, stable=False)
+    got = forest._build_tree(x, y, np.ones(len(y), dtype=int), np.arange(x.shape[1]), order,
+                             2, params, np.random.default_rng(params.seed))
     want = _build_tree(x, y, np.arange(len(y)), 2, params, np.random.default_rng(params.seed))
     for field in ("feature", "threshold", "left", "right", "value"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field),
